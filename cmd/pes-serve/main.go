@@ -439,8 +439,8 @@ func serveWorker(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 
 // serve trains the harness, listens on cfg.addr, and blocks until SIGINT or
 // SIGTERM triggers a graceful shutdown. With cfg.workers or -cluster set,
-// campaigns are sharded across the (elastic) cluster; otherwise they
-// execute in-process.
+// campaigns are sharded across the (elastic) cluster; otherwise the server's
+// member-less coordinator runs them in-process on its local lane.
 func serve(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 	in := newInjector(cfg, stdout)
 	ps, err := openPersistentStore(cfg, in, stdout)

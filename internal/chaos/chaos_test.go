@@ -223,7 +223,7 @@ func chaosSpecs() []cluster.SessionSpec {
 type workerTransport struct{ workers map[string]*cluster.Worker }
 
 func (w workerTransport) RunShard(ctx context.Context, worker string, req cluster.ShardRequest) (cluster.ShardResponse, error) {
-	return w.workers[worker].RunShard(req)
+	return w.workers[worker].RunShard(ctx, "", req)
 }
 
 // TestCampaignSurvivesChaosByteIdentical runs the resilience property
@@ -256,10 +256,11 @@ func TestCampaignSurvivesChaosByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := cluster.New(cluster.Config{Workers: names, Transport: tr, MaxShardSessions: 2, Local: local})
+		coord, err := cluster.New(cluster.Config{Workers: names, Transport: tr, MaxShardSessions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		coord.SetLocal(local)
 		out, err := coord.Run(specs, nil)
 		if err != nil {
 			t.Fatalf("campaign failed (must have zero client-visible failures): %v", err)

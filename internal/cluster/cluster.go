@@ -126,8 +126,8 @@ type ShardResponse struct {
 	Results []*engine.Result `json:"results"`
 	Error   string           `json:"error,omitempty"`
 	Stats   batch.Stats      `json:"stats"`
-	// Spans are the worker-side trace spans for this shard (simulate wall
-	// time, solve totals), present only when the request carried a trace ID.
+	// Spans are the worker-side trace spans for this shard (its simulate
+	// wall time), present only when the request carried a trace ID.
 	// The coordinator merges them into the campaign's timeline, stamping the
 	// worker address the worker itself does not know.
 	Spans []obs.Span `json:"spans,omitempty"`
@@ -262,11 +262,6 @@ type Config struct {
 	// probe or a re-registration clears the backoff.
 	ProbeBackoffBase time.Duration
 	ProbeBackoffMax  time.Duration
-	// Local optionally supplies the in-process spill-over worker: when the
-	// live worker set empties (none configured yet, or every member failed),
-	// remaining sessions execute on it instead of failing the campaign.
-	// server.New wires the service's own harness here automatically.
-	Local *Worker
 	// Logger receives the coordinator's structured events (membership
 	// transitions, worker faults, steals); nil selects slog.Default().
 	Logger *slog.Logger
@@ -355,7 +350,6 @@ func New(cfg Config) (*Coordinator, error) {
 		transport:   t,
 		members:     members,
 		log:         logger,
-		local:       cfg.Local,
 		workerStats: make(map[string]batch.Stats),
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
@@ -441,7 +435,10 @@ func (c *Coordinator) Members() []Member { return c.members.snapshot() }
 // the returned slice does not affect routing.
 func (c *Coordinator) Workers() []string { return c.members.addrs() }
 
-// SetLocal installs the in-process spill-over worker (see Config.Local).
+// SetLocal installs the in-process spill-over worker: when the live worker
+// set empties (none configured yet, or every member failed), remaining
+// sessions execute on it instead of failing the campaign. server.New wires
+// the service's own harness here.
 func (c *Coordinator) SetLocal(w *Worker) {
 	c.mu.Lock()
 	c.local = w
@@ -531,8 +528,9 @@ type run struct {
 	// (nil when untraced — all recording is nil-safe).
 	trace *obs.Recorder
 
-	progress  func(completed, total int)
-	completed atomic.Int64
+	progressMu sync.Mutex // serializes progress calls
+	progress   func(completed, total int)
+	completed  int
 
 	mu            sync.Mutex
 	cond          *sync.Cond
@@ -555,8 +553,8 @@ type run struct {
 // index-aligned with the input — the same contract as the in-process batch
 // runner: on a session error the first error is returned and the
 // corresponding entries are nil, while every other session still completes.
-// progress (may be nil) is called once per resolved session, possibly from
-// several goroutines.
+// progress (may be nil) is called once per resolved session, one call at a
+// time, with strictly increasing completed counts.
 //
 // A worker fault excludes that worker for the rest of the run and re-routes
 // its sessions; a client fault (deterministic 4xx rejection) fails the
@@ -571,8 +569,8 @@ func (c *Coordinator) Run(specs []SessionSpec, progress func(completed, total in
 // obs.WithTrace collects dispatch/steal/spill spans (and the worker-side
 // spans returned in shard responses), the trace ID propagates to workers in
 // the X-Pes-Trace-Id header, and cancelling ctx aborts the run with ctx's
-// error (in-flight shards are abandoned; workers complete them into their
-// own caches).
+// error: in-flight remote shards are abandoned (workers complete them into
+// their own caches) and the local lane stops between sessions.
 func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progress func(completed, total int)) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(specs))
 	if len(specs) == 0 {
@@ -640,13 +638,17 @@ func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progr
 }
 
 // note reports n resolved sessions to the progress callback (outside r.mu —
-// the callback may call back into the coordinator).
+// the callback may call back into the coordinator). Lanes note concurrently;
+// progressMu keeps the counts the callback sees strictly increasing.
 func (r *run) note(n int) {
 	if r.progress == nil {
 		return
 	}
+	r.progressMu.Lock()
+	defer r.progressMu.Unlock()
 	for i := 0; i < n; i++ {
-		r.progress(int(r.completed.Add(1)), r.total)
+		r.completed++
+		r.progress(r.completed, r.total)
 	}
 }
 
@@ -896,7 +898,9 @@ func (r *run) runner(addr string) {
 // localRunner drains the spill-over lane on the coordinator's own
 // in-process worker. Local execution shares the service's harness, so its
 // results are byte-identical to a remote worker's; a local rejection is a
-// deterministic spec error and fails the campaign like a client fault.
+// deterministic spec error and fails the campaign like a client fault. The
+// lane runs under the run's context, so cancelling the run stops it between
+// sessions, and it reports progress per session rather than per chunk.
 func (r *run) localRunner() {
 	defer r.wg.Done()
 	w := r.c.localWorker()
@@ -925,7 +929,7 @@ func (r *run) localRunner() {
 			req.Sessions[k] = r.specs[i]
 		}
 		start := time.Now()
-		resp, err := w.RunShardTraced(r.trace.TraceID(), req)
+		resp, err := w.runShard(r.ctx, r.trace.TraceID(), req, func(int, int) { r.note(1) })
 		if err == nil {
 			r.trace.Record(obs.Span{
 				Name: "spill", Worker: "local", Sessions: len(chunk),
@@ -940,6 +944,12 @@ func (r *run) localRunner() {
 		}
 
 		r.mu.Lock()
+		if r.ctx.Err() != nil {
+			// The run is over (done or fatal); a cut-short shard is ours.
+			r.cond.Broadcast()
+			r.mu.Unlock()
+			return
+		}
 		if err != nil {
 			r.c.clientFaults.Add(1)
 			if r.fatalErr == nil {
@@ -959,7 +969,6 @@ func (r *run) localRunner() {
 		r.resolved += len(chunk)
 		r.cond.Broadcast()
 		r.mu.Unlock()
-		r.note(len(chunk))
 	}
 }
 

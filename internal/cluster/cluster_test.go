@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -308,7 +309,7 @@ func (f *failingTransport) RunShard(ctx context.Context, worker string, req Shar
 		f.mu.Unlock()
 		return ShardResponse{}, fmt.Errorf("connection refused (worker killed)")
 	}
-	return f.workers[worker].RunShard(req)
+	return f.workers[worker].RunShard(ctx, "", req)
 }
 
 // TestShardRetryOnWorkerFailure kills one of two workers and asserts every
@@ -448,7 +449,7 @@ func TestWorkerRejectsOracleVersionMismatch(t *testing.T) {
 	good := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
 		Scheduler: sessions.Ondemand, Predictor: predictor.DefaultConfig()}
 
-	_, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v1"})
+	_, err := w.RunShard(context.Background(), "", ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v1"})
 	if err == nil {
 		t.Fatal("worker accepted a shard from a v1 coordinator while running v2")
 	}
@@ -458,14 +459,14 @@ func TestWorkerRejectsOracleVersionMismatch(t *testing.T) {
 		}
 	}
 
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v2"}); err != nil {
+	if _, err := w.RunShard(context.Background(), "", ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v2"}); err != nil {
 		t.Errorf("matching shard rejected: %v", err)
 	}
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}}); err != nil {
+	if _, err := w.RunShard(context.Background(), "", ShardRequest{Sessions: []SessionSpec{good}}); err != nil {
 		t.Errorf("unstamped legacy shard rejected: %v", err)
 	}
 
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v9"}); err == nil {
+	if _, err := w.RunShard(context.Background(), "", ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v9"}); err == nil {
 		t.Error("worker accepted an unknown oracle version")
 	}
 }
@@ -747,7 +748,7 @@ func (s *slowTransport) RunShard(ctx context.Context, worker string, req ShardRe
 			return ShardResponse{}, ctx.Err()
 		}
 	}
-	return s.worker.RunShard(req)
+	return s.worker.RunShard(ctx, "", req)
 }
 
 // TestStealingBoundsSlowWorker pairs a fast worker with an artificially
@@ -960,5 +961,68 @@ func TestProbeBackoffSuppressesProbes(t *testing.T) {
 	m.register("b:2", SourceRegistered)
 	if mem := m.snapshot()[1]; !mem.BackoffUntil.IsZero() {
 		t.Errorf("re-registered member keeps backoff: %+v", mem)
+	}
+}
+
+// TestLocalLaneProgressPerSession asserts a member-less coordinator reports
+// progress once per session as each resolves, with strictly increasing
+// counts, even though the local lane runs its whole queue as one chunk on a
+// parallel runner.
+func TestLocalLaneProgressPerSession(t *testing.T) {
+	coord, err := New(Config{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	local := newTestWorker(t)
+	coord.SetLocal(local)
+	specs := testSpecs()
+	var counts []int
+	startedAtFirst := int64(-1)
+	_, err = coord.Run(specs, func(completed, total int) {
+		if total != len(specs) {
+			t.Errorf("progress total = %d, want %d", total, len(specs))
+		}
+		if startedAtFirst < 0 {
+			startedAtFirst = local.Stats().Sessions
+		}
+		counts = append(counts, completed)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if startedAtFirst >= int64(len(specs)) {
+		t.Errorf("first progress call came after all %d sessions started; want it as the first one resolves", len(specs))
+	}
+	if len(counts) != len(specs) {
+		t.Fatalf("progress called %d times for %d sessions", len(counts), len(specs))
+	}
+	for i, c := range counts {
+		if c != i+1 {
+			t.Fatalf("progress counts %v are not strictly increasing 1..%d", counts, len(specs))
+		}
+	}
+}
+
+// TestLocalLaneStopsOnCancel asserts the local lane runs under the run's
+// context: cancelling mid-campaign returns the context's error and leaves
+// the sessions not yet started unsimulated.
+func TestLocalLaneStopsOnCancel(t *testing.T) {
+	coord, err := New(Config{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	local := newTestWorker(t)
+	coord.SetLocal(local)
+	specs := testSpecs()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = coord.RunContext(ctx, specs, func(completed, total int) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if n := local.Stats().Sessions; n >= int64(len(specs)) {
+		t.Errorf("local lane resolved %d of %d sessions after the cancel; want it stopped between sessions", n, len(specs))
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,57 +49,56 @@ func (w *Worker) Setup() *experiments.Setup { return w.setup }
 // Stats snapshots the worker's runner/artifact counters.
 func (w *Worker) Stats() batch.Stats { return w.setup.Runner.Stats() }
 
-// buildSessions turns wire specs into self-contained batch sessions, the
-// same construction the campaign layer performs in-process: the trace comes
-// from the worker's artifact store, the learner is the worker's trained
-// model, and the predictor configuration is taken verbatim from the spec.
-func (w *Worker) buildSessions(specs []SessionSpec) ([]batch.Session, error) {
-	out := make([]batch.Session, 0, len(specs))
-	for i, spec := range specs {
-		platform, err := acmp.ByName(spec.Platform)
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", i, err)
-		}
-		app, err := webapp.ByName(spec.App)
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", i, err)
-		}
-		ov, err := sched.ParseOracleVersion(spec.OracleVersion)
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", i, err)
-		}
-		tr := w.setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{})
-		sess, err := sessions.New(sessions.Spec{
-			Platform:      platform,
-			Trace:         tr,
-			Scheduler:     spec.Scheduler,
-			Learner:       w.setup.Learner,
-			Predictor:     spec.Predictor,
-			Artifacts:     w.setup.Artifacts,
-			OracleVersion: ov,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", i, err)
-		}
-		out = append(out, sess)
+// Build turns a wire spec into a self-contained batch session on a harness
+// setup: the trace comes from the setup's artifact store, the learner is its
+// trained model, and the predictor configuration is taken verbatim from the
+// spec. It is the only spec → session constructor: workers build their
+// shards with it and Campaign.Expand builds direct-run plans with it, so a
+// session means the same thing on every path.
+func (s SessionSpec) Build(setup *experiments.Setup) (batch.Session, error) {
+	platform, err := acmp.ByName(s.Platform)
+	if err != nil {
+		return batch.Session{}, err
 	}
-	return out, nil
+	app, err := webapp.ByName(s.App)
+	if err != nil {
+		return batch.Session{}, err
+	}
+	ov, err := sched.ParseOracleVersion(s.OracleVersion)
+	if err != nil {
+		return batch.Session{}, err
+	}
+	// The artifact store generates each (app, seed) trace exactly once per
+	// process, no matter how many schedulers, sweep points, or overlapping
+	// campaigns replay it.
+	tr := setup.Artifacts.Trace(app, s.TraceSeed, trace.PurposeEval, trace.Options{})
+	return sessions.New(sessions.Spec{
+		Platform:      platform,
+		Trace:         tr,
+		Scheduler:     s.Scheduler,
+		Learner:       setup.Learner,
+		Predictor:     s.Predictor,
+		Artifacts:     setup.Artifacts,
+		OracleVersion: ov,
+	})
 }
 
 // RunShard executes one shard on the worker's runner. Invalid specs are the
 // caller's fault (the HTTP layer answers 400); a session simulation error
-// is reported in the response like the in-process runner's first error,
-// with the remaining sessions still completing.
-func (w *Worker) RunShard(req ShardRequest) (ShardResponse, error) {
-	return w.RunShardTraced("", req)
+// is reported in the response like the batch runner's first error, with the
+// remaining sessions still completing. ctx is checked between sessions: a
+// cancelled shard stops early and reports ctx's error in the response. A
+// non-empty traceID (from the X-Pes-Trace-Id header, or the coordinator's
+// recorder on the local lane) makes the response carry the shard's simulate
+// span for the coordinator to merge into the campaign timeline.
+func (w *Worker) RunShard(ctx context.Context, traceID string, req ShardRequest) (ShardResponse, error) {
+	return w.runShard(ctx, traceID, req, nil)
 }
 
-// RunShardTraced is RunShard joining a campaign trace: a non-empty traceID
-// (from the X-Pes-Trace-Id header, or the coordinator's recorder on the
-// local spill-over path) makes the response carry per-chunk simulate and
-// solve-total spans for the coordinator to merge into the campaign timeline.
-// An empty traceID records nothing and is byte-identical to RunShard.
-func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse, error) {
+// runShard is RunShard reporting each resolved session to progress (may be
+// nil), so the coordinator's local lane advances campaign progress per
+// session rather than per shard.
+func (w *Worker) runShard(ctx context.Context, traceID string, req ShardRequest, progress func(completed, total int)) (ShardResponse, error) {
 	if len(req.Sessions) == 0 {
 		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
 	}
@@ -113,30 +113,20 @@ func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse
 				theirs, mine)
 		}
 	}
-	sess, err := w.buildSessions(req.Sessions)
-	if err != nil {
-		return ShardResponse{}, err
+	sess := make([]batch.Session, len(req.Sessions))
+	for i, spec := range req.Sessions {
+		var err error
+		if sess[i], err = spec.Build(w.setup); err != nil {
+			return ShardResponse{}, fmt.Errorf("session %d: %w", i, err)
+		}
 	}
 	start := time.Now()
-	results, runErr := w.setup.Runner.Run(sess)
+	results, runErr := w.setup.Runner.RunContext(ctx, sess, progress)
+	elapsed := time.Since(start)
 	resp := ShardResponse{Results: results, Stats: w.Stats()}
 	if traceID != "" {
-		// Solve totals sum the solver wall time embedded in each session's
-		// result — deterministic per shard, cache-served sessions included
-		// (their solver work happened once, wherever they were first built).
-		var solveNS int64
-		for _, res := range results {
-			if res != nil {
-				solveNS += res.Solver.WallNS
-			}
-		}
-		startUS := start.UnixMicro()
-		resp.Spans = []obs.Span{
-			{TraceID: traceID, Name: "simulate", Sessions: len(req.Sessions),
-				StartUS: startUS, DurUS: time.Since(start).Microseconds()},
-			{TraceID: traceID, Name: "solve", Sessions: len(req.Sessions),
-				StartUS: startUS, DurUS: solveNS / 1e3},
-		}
+		resp.Spans = []obs.Span{{TraceID: traceID, Name: "simulate", Sessions: len(req.Sessions),
+			StartUS: start.UnixMicro(), DurUS: elapsed.Microseconds()}}
 	}
 	if runErr != nil {
 		resp.Error = runErr.Error()
@@ -183,7 +173,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: "invalid shard JSON: " + err.Error()})
 		return
 	}
-	resp, err := w.RunShardTraced(r.Header.Get(obs.TraceHeader), req)
+	// Background, not the request's context: a shard the coordinator
+	// abandons (drain, timeout) still finishes into this worker's caches.
+	resp, err := w.RunShard(context.Background(), r.Header.Get(obs.TraceHeader), req)
 	if err != nil {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: err.Error()})
 		return

@@ -90,16 +90,6 @@ type Node struct {
 	NavigatesTo string
 }
 
-// HasListener reports whether the node has a listener for t.
-func (n *Node) HasListener(t webevent.Type) bool {
-	for _, l := range n.Listeners {
-		if l == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Tappable reports whether the node reacts to any tap-interaction event.
 func (n *Node) Tappable() bool {
 	for _, l := range n.Listeners {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/sessions"
 	"repro/internal/simtime"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/webapp"
 )
 
@@ -82,19 +81,17 @@ type SessionMeta struct {
 	Label string `json:"label"`
 }
 
-// Plan is a validated, fully expanded campaign: the batch sessions to run
-// in-process and, index-aligned, the metadata describing each one plus the
-// wire specs the cluster coordinator routes to workers instead.
+// Plan is a validated, fully expanded campaign: index-aligned, the metadata
+// describing each session and the self-describing wire spec the coordinator
+// routes to a worker, which builds session i from Specs[i].
 type Plan struct {
 	Platform string
-	// Sessions holds the runnable in-process sessions; it is nil for plans
-	// a coordinator expanded for cluster execution (workers rebuild the
-	// sessions from Specs).
-	Sessions []batch.Session
 	Meta     []SessionMeta
-	// Specs mirrors Sessions as self-describing wire specs: a cluster
-	// worker rebuilds session i of this plan from Specs[i].
-	Specs []cluster.SessionSpec
+	Specs    []cluster.SessionSpec
+	// Sessions holds the runnable sessions built from Specs, for running a
+	// plan directly on a batch runner. Only Expand fills it; the server
+	// never does.
+	Sessions []batch.Session
 }
 
 // platformByName resolves a campaign platform name to its shared hardware
@@ -127,16 +124,24 @@ func predictorConfig(base predictor.Config, spec *PredictorSpec) predictor.Confi
 // apps × seeds × schedulers cross product at the base predictor
 // configuration, plus one extra PES pass per distinct sweep threshold.
 func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
-	return c.expand(setup, true)
+	plan, err := c.expand(setup)
+	if err != nil {
+		return nil, err
+	}
+	plan.Sessions = make([]batch.Session, len(plan.Specs))
+	for i, spec := range plan.Specs {
+		if plan.Sessions[i], err = spec.Build(setup); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
 }
 
-// expand is Expand with the in-process sessions optional: a coordinator
-// executes a plan through its cluster (only Specs cross the wire), so
-// building the runnable sessions — which generates every (app, seed) trace
-// locally — would spend the exact work sharding exists to offload.
-// Validation is unchanged either way: platforms, apps, schedulers, and
-// sweep thresholds are checked during expansion itself.
-func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, error) {
+// expand validates the campaign and expands it into metadata and wire
+// specs without building any session, so it generates no trace: the worker
+// that executes the plan builds its sessions. Platforms, apps, schedulers,
+// and sweep thresholds are all checked here.
+func (c Campaign) expand(setup *experiments.Setup) (*Plan, error) {
 	platform, err := platformByName(c.Platform)
 	if err != nil {
 		return nil, err
@@ -201,26 +206,7 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 	}
 
 	plan := &Plan{Platform: platform.Name}
-	add := func(app *webapp.Spec, seed int64, schedName string, cfg predictor.Config, label string) error {
-		if buildSessions {
-			// The artifact store generates each (app, seed) trace exactly
-			// once per process, no matter how many schedulers, sweep
-			// points, or overlapping campaigns replay it.
-			tr := setup.Artifacts.Trace(app, seed, trace.PurposeEval, trace.Options{})
-			sess, err := sessions.New(sessions.Spec{
-				Platform:      platform,
-				Trace:         tr,
-				Scheduler:     schedName,
-				Learner:       setup.Learner,
-				Predictor:     cfg,
-				Artifacts:     setup.Artifacts,
-				OracleVersion: oracleVer,
-			})
-			if err != nil {
-				return err
-			}
-			plan.Sessions = append(plan.Sessions, sess)
-		}
+	add := func(app *webapp.Spec, seed int64, schedName string, cfg predictor.Config, label string) {
 		meta := SessionMeta{
 			Platform:  platform.Name,
 			App:       app.Name,
@@ -244,22 +230,17 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 		}
 		plan.Meta = append(plan.Meta, meta)
 		plan.Specs = append(plan.Specs, spec)
-		return nil
 	}
 	for _, app := range apps {
 		for _, seed := range seeds {
 			for _, name := range scheds {
-				if err := add(app, seed, name, baseCfg, name); err != nil {
-					return nil, err
-				}
+				add(app, seed, name, baseCfg, name)
 			}
 			for _, th := range sweepThresholds {
 				cfg := baseCfg
 				cfg.ConfidenceThreshold = th
 				label := fmt.Sprintf("%s@%d%%", sessions.PES, int(th*100+0.5))
-				if err := add(app, seed, sessions.PES, cfg, label); err != nil {
-					return nil, err
-				}
+				add(app, seed, sessions.PES, cfg, label)
 			}
 		}
 	}
@@ -273,8 +254,7 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 // figure harness computes (the shape of Fig. 11 and 12): one row per
 // application, one column per scheduler label, averaged over trace seeds.
 // Sessions without a result (failed batch entries) are skipped. results must
-// be index-aligned with the plan's sessions, as returned by the batch
-// runner.
+// be index-aligned with the plan's specs, as returned by the coordinator.
 func (p *Plan) Tables(results []*engine.Result) []*experiments.Table {
 	var labels, apps []string
 	haveLabel := map[string]bool{}

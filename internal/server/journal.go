@@ -239,7 +239,7 @@ func (s *Server) recoverJournal() RecoverySummary {
 	}
 	var sum RecoverySummary
 	for _, e := range entries {
-		plan, err := e.spec.Campaign.expand(s.setup, s.cfg.Cluster == nil)
+		plan, err := e.spec.Campaign.expand(s.setup)
 		if err == nil && len(plan.Meta) != e.spec.Sessions {
 			err = fmt.Errorf("journaled campaign expanded to %d sessions, was submitted with %d (server configuration changed under the journal)",
 				len(plan.Meta), e.spec.Sessions)
@@ -247,10 +247,11 @@ func (s *Server) recoverJournal() RecoverySummary {
 		if err != nil {
 			// The spec was valid at submit; failing to re-expand means the
 			// world changed. Terminate it in the journal so it is not
-			// retried forever, and surface the failure as a queryable job.
+			// retried forever, and surface the failure as a queryable job
+			// (with an empty plan: it reports zero sessions).
 			s.log.Warn("resuming campaign failed", "campaign", e.id, "error", err)
 			s.journal.state(e.id, StatusFailed, err.Error())
-			j := &job{id: e.id, campaign: e.spec.Campaign, plan: &Plan{}, total: e.spec.Sessions, status: StatusFailed, errMsg: err.Error()}
+			j := &job{id: e.id, campaign: e.spec.Campaign, plan: &Plan{}, status: StatusFailed, errMsg: err.Error()}
 			s.jobs[e.id] = j
 			s.order = append(s.order, e.id)
 			sum.Failed++
@@ -260,7 +261,6 @@ func (s *Server) recoverJournal() RecoverySummary {
 			id:       e.id,
 			campaign: e.spec.Campaign,
 			plan:     plan,
-			total:    len(plan.Meta),
 			status:   StatusQueued,
 			trace:    obs.NewRecorder(obs.MintTraceID(e.id)),
 			enqueued: time.Now(),
@@ -279,7 +279,7 @@ func (s *Server) recoverJournal() RecoverySummary {
 		s.order = append(s.order, e.id)
 		sum.Resumed++
 		s.log.Info("resuming campaign from the journal",
-			"campaign", e.id, "trace", j.trace.TraceID(), "sessions", j.total)
+			"campaign", e.id, "trace", j.trace.TraceID(), "sessions", len(plan.Meta))
 	}
 	if s.journal != nil {
 		s.log.Info("journal recovery complete",

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/store"
 )
@@ -231,6 +234,107 @@ func TestDrainLeavesQueuedCampaignsResumable(t *testing.T) {
 		}
 		if got := pollTerminal(t, s2, id); got.Status != StatusDone {
 			t.Errorf("resumed campaign %s: %s (%s)", id, got.Status, got.Error)
+		}
+	}
+}
+
+// blockingTransport is a remote worker that never answers: every shard
+// blocks until the coordinator abandons it. entered is signalled on the
+// first dispatch.
+type blockingTransport struct {
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (b *blockingTransport) RunShard(ctx context.Context, worker string, req cluster.ShardRequest) (cluster.ShardResponse, error) {
+	b.once.Do(func() { close(b.entered) })
+	<-ctx.Done()
+	return cluster.ShardResponse{}, ctx.Err()
+}
+
+// TestDrainCancelsCoordinatorCampaign asserts the drain deadline reaches
+// coordinator-mode execution: a campaign stuck on a worker that never
+// answers returns to queued when Close passes DrainTimeout, and a reboot on
+// the same store resumes it under its original ID with rows byte-identical
+// to an uninterrupted run.
+func TestDrainCancelsCoordinatorCampaign(t *testing.T) {
+	campaign := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand", "PES"}}
+	ref := testServer(t)
+	refSt, err := ref.Submit(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pollTerminal(t, ref, refSt.ID); got.Status != StatusDone {
+		t.Fatalf("reference campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+	}
+	refJob, _ := ref.jobByID(refSt.ID)
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &blockingTransport{entered: make(chan struct{})}
+	coord, err := cluster.New(cluster.Config{Workers: []string{"stuck:9001"}, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	cfg := smallConfig()
+	cfg.Cluster = coord
+	cfg.DrainTimeout = 20 * time.Millisecond
+	cfg.Experiments.Store = st
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jst, err := s1.Submit(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tr.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the campaign was never dispatched to the worker")
+	}
+	closed := make(chan struct{})
+	go func() { s1.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Minute):
+		t.Fatal("Close never returned: the drain deadline did not reach the coordinator")
+	}
+	j1, _ := s1.jobByID(jst.ID)
+	if got := j1.snapshot(); got.Status != StatusQueued {
+		t.Fatalf("after the drain deadline the campaign is %s, want queued", got.Status)
+	}
+	st.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	cfg2 := smallConfig()
+	cfg2.Experiments.Store = st2
+	s2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Resumed() != 1 {
+		t.Fatalf("Resumed() = %d, want 1", s2.Resumed())
+	}
+	if got := pollTerminal(t, s2, jst.ID); got.Status != StatusDone {
+		t.Fatalf("resumed campaign %s: %s (%s)", jst.ID, got.Status, got.Error)
+	}
+	j2, _ := s2.jobByID(jst.ID)
+	if len(j2.results) != len(refJob.results) {
+		t.Fatalf("resumed campaign has %d results, want %d", len(j2.results), len(refJob.results))
+	}
+	for i, res := range j2.results {
+		if !bytes.Equal(normalizeResult(t, res), normalizeResult(t, refJob.results[i])) {
+			t.Fatalf("result %d differs from the uninterrupted run", i)
 		}
 	}
 }

@@ -198,6 +198,59 @@ func TestTraceEndpointTimeline(t *testing.T) {
 	}
 }
 
+// TestTraceSimulateSpansNestInLaneSpans runs one campaign twice on a
+// default server — the repeat is all memo hits — and asserts each run's
+// timeline has a spill span from the local lane, every simulate span lies
+// inside a spill or dispatch span of the same worker, and no solve span is
+// emitted (a summed solver time drawn as an interval would outlast its
+// parent on a parallel runner and replay the cold run's time on a hit).
+func TestTraceSimulateSpansNestInLaneSpans(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := Campaign{Apps: []string{"cnn", "ebay"}, Schedulers: []string{"EBS", "Oracle", "PES"}}
+	for run := 0; run < 2; run++ {
+		st, err := s.Submit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pollTerminal(t, s, st.ID); got.Status != StatusDone {
+			t.Fatalf("campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+		}
+		var tr TraceResponse
+		getJSON(t, ts.URL+"/v1/campaigns/"+st.ID+"/trace", &tr)
+		var lanes, sims []obs.Span
+		for _, sp := range tr.Spans {
+			switch sp.Name {
+			case "spill", "dispatch":
+				lanes = append(lanes, sp)
+			case "simulate":
+				sims = append(sims, sp)
+			case "solve":
+				t.Errorf("run %d emitted a solve span: %+v", run, sp)
+			}
+		}
+		if len(lanes) == 0 || len(sims) < len(lanes) {
+			t.Fatalf("run %d: %d spill/dispatch and %d simulate spans, want >= 1 and >= as many simulate", run, len(lanes), len(sims))
+		}
+		// Each span truncates its start and duration to microseconds, so
+		// an end may read up to 2 µs early.
+		const slackUS = 2
+		for _, sim := range sims {
+			inside := false
+			for _, l := range lanes {
+				if l.Worker == sim.Worker && sim.StartUS >= l.StartUS &&
+					sim.StartUS+sim.DurUS <= l.StartUS+l.DurUS+slackUS {
+					inside = true
+				}
+			}
+			if !inside {
+				t.Errorf("run %d: simulate span %+v lies inside no spill/dispatch span of its worker (%+v)", run, sim, lanes)
+			}
+		}
+	}
+}
+
 // TestTraceTimelineStableAcrossJournalResume asserts the trace contract the
 // journal relies on: a resumed campaign keeps its trace identity (the ID is
 // minted from the campaign ID, which survives the restart) and serves a

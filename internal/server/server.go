@@ -39,18 +39,20 @@ type Config struct {
 	// evicted. Default 1024.
 	MaxJobs int
 	// Cluster optionally shards campaign execution across remote workers
-	// through a coordinator; nil executes campaigns in-process on the
-	// shared runner. Figure endpoints always run in-process. Workers must
-	// share this server's Experiments configuration for merged results to
-	// be byte-identical to in-process execution. New wires the service's
-	// own harness into the coordinator as the local spill-over worker, so
-	// campaigns degrade to in-process execution when the live worker set
-	// empties instead of failing.
+	// through a coordinator; nil makes New build a member-less coordinator
+	// of its own, so every campaign takes the same path and runs on the
+	// local lane. Either way New wires the service's own harness into the
+	// coordinator as the local spill-over worker, so campaigns degrade to
+	// in-process execution when the live worker set empties instead of
+	// failing. Figure endpoints always run in-process. Workers must share
+	// this server's Experiments configuration for merged results to be
+	// byte-identical to in-process execution.
 	Cluster *cluster.Coordinator
 	// DrainTimeout bounds graceful shutdown when a persistent store backs
 	// the server (Experiments.Store): Close gives running campaigns this
-	// long to finish, then cancels their in-process execution between
-	// sessions and returns them to queued — the journal resumes them
+	// long to finish, then cancels their execution (between sessions on the
+	// local lane; remote shards are abandoned to finish into their workers'
+	// caches) and returns them to queued — the journal resumes them
 	// (tail-only, completed sessions come back as store hits) on the next
 	// boot. Default 30s. Without a store, Close waits for running
 	// campaigns unconditionally, as before.
@@ -84,9 +86,6 @@ type job struct {
 	id       string
 	campaign Campaign
 	plan     *Plan
-	// total is the session count of the plan, kept separately because the
-	// plan's session closures are released once the job is terminal.
-	total int
 	// trace accumulates the campaign's span timeline. Its trace ID is
 	// minted deterministically from the job ID, so a journal-resumed
 	// campaign (same ID) rejoins the same trace.
@@ -112,12 +111,6 @@ func (j *job) setStatus(status, errMsg string) {
 	j.mu.Lock()
 	j.status = status
 	j.errMsg = errMsg
-	if terminal(status) {
-		// The session closures (and the traces they capture) are only
-		// needed to run the campaign; results are served from j.results
-		// and j.plan.Meta.
-		j.plan.Sessions = nil
-	}
 	j.mu.Unlock()
 }
 
@@ -128,7 +121,7 @@ func (j *job) snapshot() JobStatus {
 	return JobStatus{
 		ID:        j.id,
 		Status:    j.status,
-		Sessions:  j.total,
+		Sessions:  len(j.plan.Meta),
 		Completed: int(j.completed.Load()),
 		Error:     j.errMsg,
 	}
@@ -191,6 +184,9 @@ type figEntry struct {
 type Server struct {
 	cfg   Config
 	setup *experiments.Setup
+	// coord executes every campaign: Config.Cluster, or a member-less
+	// coordinator New built (and Close closes) when none was configured.
+	coord *cluster.Coordinator
 
 	// journal persists campaign lifecycle records when a store backs the
 	// server; nil otherwise (every journal method is nil-safe).
@@ -206,8 +202,8 @@ type Server struct {
 	log     *slog.Logger
 	httpLat map[string]*obs.Histogram
 
-	// runCtx bounds in-process campaign execution; runCancel fires when the
-	// drain deadline passes during Close (journal-backed servers only).
+	// runCtx bounds campaign execution; runCancel fires when the drain
+	// deadline passes during Close (journal-backed servers only).
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
@@ -243,18 +239,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cluster != nil {
-		// The service's own trained harness doubles as the coordinator's
-		// spill-over backend: identical configuration means local results
-		// are byte-identical to a worker's.
-		cfg.Cluster.SetLocal(cluster.NewWorkerFromSetup(setup))
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
 	s := &Server{
 		cfg:     cfg,
 		setup:   setup,
+		coord:   cfg.Cluster,
 		metrics: cfg.Metrics,
 		log:     cfg.Logger,
 		jobs:    make(map[string]*job),
@@ -267,6 +258,21 @@ func New(cfg Config) (*Server, error) {
 	if s.log == nil {
 		s.log = slog.Default()
 	}
+	if s.coord == nil {
+		// No members and no heartbeat: every session runs on the local lane.
+		s.coord, err = cluster.New(cluster.Config{
+			HeartbeatInterval: -1,
+			OracleVersion:     setup.Config.OracleVersion,
+			Logger:            s.log,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	// The service's own trained harness is the coordinator's local lane:
+	// identical configuration means local results are byte-identical to a
+	// worker's.
+	s.coord.SetLocal(cluster.NewWorkerFromSetup(setup))
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	if st := cfg.Experiments.Store; st != nil {
 		s.journal = newJournal(st, s.log)
@@ -299,9 +305,10 @@ func (s *Server) Stats() batch.Stats { return s.setup.Runner.Stats() }
 // (individual session simulations are not interruptible). With a journal
 // (Experiments.Store set), shutdown drains instead of dropping: queued jobs
 // stay journaled as queued and resume on the next boot, running jobs get
-// DrainTimeout to finish before their in-process execution is canceled
-// between sessions and they return to queued — nothing a client submitted
-// is ever silently lost.
+// DrainTimeout to finish before their execution is canceled and they return
+// to queued — nothing a client submitted is ever silently lost. A
+// coordinator New built itself is closed too; a configured one is the
+// caller's to close.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -322,6 +329,9 @@ func (s *Server) Close() {
 		deadline.Stop()
 	}
 	s.runCancel()
+	if s.cfg.Cluster == nil {
+		s.coord.Close()
+	}
 }
 
 // worker executes queued campaigns until the queue closes. After shutdown
@@ -349,11 +359,14 @@ func (s *Server) worker() {
 			DurUS: time.Since(j.enqueued).Microseconds(),
 		})
 		s.log.Info("campaign started",
-			"campaign", j.id, "trace", j.trace.TraceID(), "sessions", j.total)
+			"campaign", j.id, "trace", j.trace.TraceID(), "sessions", len(j.plan.Meta))
 		start := time.Now()
-		results, err := s.execute(j, func(completed, total int) {
-			s.journal.mark(j.id, int(j.completed.Add(1)), j.total)
-		})
+		// The recorder rides the run context, collecting the coordinator's
+		// dispatch/steal/spill spans and the workers' simulate spans.
+		results, err := s.coord.RunContext(obs.WithTrace(s.runCtx, j.trace), j.plan.Specs,
+			func(completed, total int) {
+				s.journal.mark(j.id, int(j.completed.Add(1)), total)
+			})
 		if err != nil && errors.Is(err, context.Canceled) && s.journal != nil {
 			// The drain deadline passed mid-campaign. Completed sessions are
 			// in the store; the journal stays non-terminal, so the next boot
@@ -379,43 +392,16 @@ func (s *Server) worker() {
 			s.journal.state(j.id, StatusDone, "")
 			s.log.Info("campaign done",
 				"campaign", j.id, "trace", j.trace.TraceID(),
-				"sessions", j.total, "elapsed", time.Since(start).Round(time.Millisecond))
+				"sessions", len(j.plan.Meta), "elapsed", time.Since(start).Round(time.Millisecond))
 		}
 	}
 }
 
-// execute runs one expanded campaign: through the cluster coordinator when
-// one is configured (each worker resolves its shard against its own warm
-// memo/artifact caches), in-process on the shared runner otherwise. Both
-// paths return results index-aligned with the plan, so the merge — and
-// everything downstream of it (rows, tables, solver aggregation) — is
-// identical. In-process execution is bounded by the server's run context
-// (the drain deadline); cluster dispatch is not — a coordinator killed
-// mid-campaign relies on the journal plus the workers' own stores, which is
-// the same guarantee with no cooperation needed from remote processes.
-func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine.Result, error) {
-	plan := j.plan
-	if s.cfg.Cluster != nil {
-		// Background context plus the trace recorder: cluster dispatch stays
-		// non-cancelable (a killed coordinator relies on the journal), while
-		// the recorder collects dispatch/steal/spill and worker spans.
-		return s.cfg.Cluster.RunContext(obs.WithTrace(context.Background(), j.trace), plan.Specs, progress)
-	}
-	start := time.Now()
-	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, j.trace), plan.Sessions, progress)
-	j.trace.Record(obs.Span{
-		Name: "simulate", Worker: "local", Sessions: len(plan.Sessions),
-		StartUS: start.UnixMicro(), DurUS: time.Since(start).Microseconds(),
-	})
-	return results, err
-}
-
-// Submit validates and enqueues a campaign, returning its job status. In
-// cluster mode the expansion skips building runnable in-process sessions
-// (the workers rebuild them from the plan's wire specs), so submission
-// never generates traces the coordinator will not simulate.
+// Submit validates and enqueues a campaign, returning its job status.
+// Admission expands the campaign to wire specs only: the executing worker
+// builds the sessions (and their traces) when the job runs.
 func (s *Server) Submit(c Campaign) (JobStatus, error) {
-	plan, err := c.expand(s.setup, s.cfg.Cluster == nil)
+	plan, err := c.expand(s.setup)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -430,7 +416,6 @@ func (s *Server) Submit(c Campaign) (JobStatus, error) {
 		id:       id,
 		campaign: c,
 		plan:     plan,
-		total:    len(plan.Meta),
 		trace:    obs.NewRecorder(obs.MintTraceID(id)),
 		enqueued: time.Now(),
 		status:   StatusQueued,
@@ -448,7 +433,7 @@ func (s *Server) Submit(c Campaign) (JobStatus, error) {
 	s.evictLocked()
 	// Journal only after the job is actually admitted: a spec record is a
 	// promise the campaign will reach a terminal state.
-	s.journal.spec(j.id, c, j.total)
+	s.journal.spec(j.id, c, len(plan.Meta))
 	return j.snapshot(), nil
 }
 

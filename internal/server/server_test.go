@@ -1,7 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -546,35 +549,64 @@ func TestResultsFiltersAndNDJSON(t *testing.T) {
 	}
 }
 
-// TestClusterModeExpandSkipsSessionConstruction asserts a coordinator-side
-// expansion produces wire specs and metadata without building runnable
-// sessions (and thus without generating any trace locally).
-func TestClusterModeExpandSkipsSessionConstruction(t *testing.T) {
-	s := testServer(t)
-	before := s.Setup().Artifacts.Stats().TraceBuilds
+// TestSubmitBuildsNoTraces asserts admission on a default (non-cluster)
+// server expands a campaign to wire specs and metadata only: no session is
+// built and no trace is generated or even looked up until the job runs,
+// and then the executing worker looks up one trace per session.
+func TestSubmitBuildsNoTraces(t *testing.T) {
+	shared := testServer(t)
+	// A hand-built server with no campaign workers: the job stays queued
+	// until the test starts one, so the admission-time check cannot race it.
+	s := &Server{
+		cfg:     Config{QueueDepth: 1, MaxJobs: 16},
+		setup:   shared.setup,
+		coord:   shared.coord,
+		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		runCtx:  context.Background(),
+		jobs:    make(map[string]*job),
+		queue:   make(chan *job, 1),
+		figures: make(map[string]*figEntry),
+	}
+	arts := shared.Setup().Artifacts
+	lookups := func() int64 { st := arts.Stats(); return st.TraceBuilds + st.TraceHits }
+	before, lookupsBefore := arts.Stats().TraceBuilds, lookups()
 	c := Campaign{Apps: []string{"twitter"}, TraceSeeds: []int64{991, 992}, Schedulers: []string{"Interactive", "PES"}}
-	plan, err := c.expand(s.Setup(), false)
+	st, err := s.Submit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Sessions != nil {
-		t.Errorf("cluster-mode plan built %d in-process sessions, want none", len(plan.Sessions))
+	if st.Sessions != 4 {
+		t.Fatalf("campaign expanded to %d sessions, want 4", st.Sessions)
 	}
-	if len(plan.Specs) != 4 || len(plan.Meta) != 4 {
-		t.Fatalf("plan has %d specs / %d meta, want 4 each", len(plan.Specs), len(plan.Meta))
+	if after := arts.Stats().TraceBuilds; after != before {
+		t.Errorf("Submit generated %d traces, want 0", after-before)
 	}
-	if after := s.Setup().Artifacts.Stats().TraceBuilds; after != before {
-		t.Errorf("cluster-mode expansion generated %d traces locally, want 0", after-before)
+	if after := lookups(); after != lookupsBefore {
+		t.Errorf("Submit looked up %d traces, want 0", after-lookupsBefore)
 	}
-	for i, spec := range plan.Specs {
-		m := plan.Meta[i]
+	j, _ := s.jobByID(st.ID)
+	if j.plan.Sessions != nil {
+		t.Errorf("Submit built %d sessions, want none", len(j.plan.Sessions))
+	}
+	for i, spec := range j.plan.Specs {
+		m := j.plan.Meta[i]
 		if spec.App != m.App || spec.TraceSeed != m.TraceSeed || spec.Scheduler != m.Scheduler || spec.Platform != "Exynos5410" {
 			t.Errorf("spec %d (%+v) not aligned with meta (%+v)", i, spec, m)
 		}
 	}
-	// Validation still runs without session construction.
-	if _, err := (Campaign{Apps: []string{"nosuchapp"}}).expand(s.Setup(), false); err == nil {
-		t.Error("cluster-mode expansion accepted an unknown app")
+	if _, err := s.Submit(Campaign{Apps: []string{"nosuchapp"}}); err == nil {
+		t.Error("Submit accepted an unknown app")
+	}
+
+	s.wg.Add(1)
+	go s.worker()
+	if got := pollTerminal(t, s, st.ID); got.Status != StatusDone {
+		t.Fatalf("campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+	}
+	close(s.queue)
+	s.wg.Wait()
+	if after := lookups(); after != lookupsBefore+int64(st.Sessions) {
+		t.Errorf("running the campaign looked up %d traces, want %d (one per session)", after-lookupsBefore, st.Sessions)
 	}
 }
 

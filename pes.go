@@ -305,8 +305,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // Sharded multi-worker campaign execution.
 type (
 	// ClusterConfig parameterizes a campaign coordinator: static worker
-	// seed, transport, hash-ring replicas, shard timeout, heartbeat cadence,
-	// local spill-over worker.
+	// seed, transport, hash-ring replicas, shard timeout, heartbeat cadence.
 	ClusterConfig = cluster.Config
 	// ClusterCoordinator shards campaign sessions across an elastic worker
 	// set by consistent hashing on the batch memo key: workers join via
