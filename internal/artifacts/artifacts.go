@@ -22,15 +22,15 @@
 //   - trained learners are read-only at prediction time (each predictor owns
 //     its own scratch buffers).
 //
-// Construction is singleflight: concurrent campaigns requesting the same
-// artifact block on one build and share the result. The cache is unbounded
-// and process-lived, like the batch memo cache it feeds: artifacts are a few
-// kilobytes each and bounded by the distinct (app, seed) pairs and training
-// configurations a process touches. The per-trace derivations (runtime
-// events, fingerprints) are memoized only for traces the store itself
-// generated — pointer-keyed entries for externally built traces would never
-// be hit again and would grow without bound, so they are computed without
-// caching instead.
+// Each artifact kind is one memo.Cache, so construction is singleflight:
+// concurrent campaigns requesting the same artifact block on one build and
+// share the result. The cache is unbounded and process-lived, like the batch
+// memo cache it feeds: artifacts are a few kilobytes each and bounded by the
+// distinct (app, seed) pairs and training configurations a process touches.
+// The per-trace derivations (runtime events, fingerprints) are memoized only
+// for traces the store itself generated — pointer-keyed entries for
+// externally built traces would never be hit again and would grow without
+// bound, so they are computed without caching instead.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
 // package webapp (every webapp.NewSession clones cached master pages); its
@@ -39,14 +39,13 @@
 package artifacts
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/acmp"
+	"repro/internal/memo"
 	"repro/internal/mlr"
 	"repro/internal/predictor"
 	"repro/internal/store"
@@ -90,37 +89,6 @@ type corpusKey struct {
 	opts         trace.Options
 }
 
-// Singleflight slots. The first requester builds inside the Once; everyone
-// else blocks on it and shares the built value.
-type (
-	traceEntry struct {
-		once sync.Once
-		tr   *trace.Trace
-		// elem is the entry's LRU slot, linked (under Store.mu) once the
-		// trace is built; in-flight entries are never evicted.
-		elem *list.Element
-	}
-	runtimeEntry struct {
-		once sync.Once
-		evs  []*webevent.Event
-		err  error
-	}
-	fingerprintEntry struct {
-		once sync.Once
-		hash string // content hash of the trace half of a fingerprint
-	}
-	learnerEntry struct {
-		once    sync.Once
-		learner *predictor.SequenceLearner
-		corpus  trace.Corpus
-		err     error
-	}
-	corpusEntry struct {
-		once   sync.Once
-		corpus trace.Corpus
-	}
-)
-
 // Stats snapshots the store's build/hit counters (plus the process-wide
 // page-tree cache of package webapp). A build is one artifact constructed; a
 // hit is a request answered by an artifact that another request had already
@@ -155,38 +123,39 @@ type Stats struct {
 
 // Store is one artifact cache. All methods are safe for concurrent use.
 type Store struct {
-	mu           sync.Mutex
-	traces       map[traceKey]*traceEntry
-	owned        map[*trace.Trace]bool // traces this store generated
-	runtimes     map[*trace.Trace]*runtimeEntry
-	fingerprints map[*trace.Trace]*fingerprintEntry
-	learners     map[LearnerKey]*learnerEntry
-	corpora      map[corpusKey]*corpusEntry
-	maxTraces    int        // 0 = unbounded
-	traceLRU     *list.List // completed trace keys, most recently used first
-	persist      *store.Store
+	traces       *memo.Cache[traceKey, *trace.Trace]
+	runtimes     *memo.Cache[*trace.Trace, []*webevent.Event]
+	fingerprints *memo.Cache[*trace.Trace, string] // content hash of the trace half
+	learners     *memo.Cache[LearnerKey, *predictor.SequenceLearner]
+	corpora      *memo.Cache[corpusKey, trace.Corpus]
 
-	traceBuilds, traceHits             atomic.Int64
-	runtimeBuilds, runtimeHits         atomic.Int64
-	fingerprintBuilds, fingerprintHits atomic.Int64
-	learnerBuilds, learnerHits         atomic.Int64
-	traceEvictions                     atomic.Int64
-	traceStoreHits, learnerStoreHits   atomic.Int64
+	mu    sync.Mutex
+	owned map[*trace.Trace]bool // resident traces this store generated or loaded
 }
 
 // NewStore creates an empty artifact store. Most callers want Default; a
 // private store only makes sense for isolation in tests and cold-path
 // benchmarks.
 func NewStore() *Store {
-	return &Store{
-		traces:       make(map[traceKey]*traceEntry),
+	s := &Store{
+		traces:       memo.New[traceKey, *trace.Trace](),
+		runtimes:     memo.New[*trace.Trace, []*webevent.Event](),
+		fingerprints: memo.New[*trace.Trace, string](),
+		learners:     memo.New[LearnerKey, *predictor.SequenceLearner](),
+		corpora:      memo.New[corpusKey, trace.Corpus](),
 		owned:        make(map[*trace.Trace]bool),
-		runtimes:     make(map[*trace.Trace]*runtimeEntry),
-		fingerprints: make(map[*trace.Trace]*fingerprintEntry),
-		learners:     make(map[LearnerKey]*learnerEntry),
-		corpora:      make(map[corpusKey]*corpusEntry),
-		traceLRU:     list.New(),
 	}
+	// Evicting a trace drops its derived runtime events and fingerprint;
+	// consumers already holding the pointer keep working (the trace is
+	// immutable), and a later request regenerates a bit-identical trace.
+	s.traces.OnEvict(func(_ traceKey, tr *trace.Trace) {
+		s.mu.Lock()
+		delete(s.owned, tr)
+		s.mu.Unlock()
+		s.runtimes.Delete(tr)
+		s.fingerprints.Delete(tr)
+	})
+	return s
 }
 
 // WithMaxTraces bounds the per-trace cache to at most n generated traces,
@@ -198,24 +167,61 @@ func NewStore() *Store {
 // process-wide Default while other consumers run), but the bound only
 // applies to traces completed after it is set.
 func (s *Store) WithMaxTraces(n int) *Store {
-	s.mu.Lock()
-	s.maxTraces = n
-	s.mu.Unlock()
+	s.traces.SetMax(n)
 	return s
 }
 
 // WithPersistent layers a persistent content-addressed store under the
 // in-memory caches: traces and trained learners are written through on
 // first build and loaded back — skipping generation and SGD training — in
-// later processes (or sibling stores) sharing the directory. Runtime events,
-// fingerprints and corpora are cheap derivations and stay memory-only. The
-// persistent store's singleflight keeps builds exactly-once even across
-// several artifact stores sharing it. Set before the store is shared across
-// goroutines; ps may be nil (no persistence, the default). It returns the
-// store for chaining.
+// later processes (or sibling stores) sharing the directory. A loaded trace
+// is bit-equivalent to a generated one (trace.Trace round-trips through
+// JSON exactly, floats included), so fingerprints — and through them the
+// batch memo keys — are identical either way. Learner keys are
+// configuration-addressed, which is safe because training is deterministic.
+// A stored value that no longer decodes (or a model whose feature shape no
+// longer matches) is rebuilt. Runtime events, fingerprints and corpora are
+// cheap derivations and stay memory-only. Set before the store is shared
+// across goroutines; ps may be nil (no persistence, the default). It
+// returns the store for chaining.
 func (s *Store) WithPersistent(ps *store.Store) *Store {
-	s.persist = ps
+	s.traces.Persist(ps, memo.Codec[traceKey, *trace.Trace]{
+		Key: func(k traceKey) string {
+			return fmt.Sprintf("trace|%s|%d|%s|%+v", k.app, k.seed, k.purpose, k.opts)
+		},
+		Encode: func(tr *trace.Trace) ([]byte, error) { return json.Marshal(tr) },
+		Decode: func(b []byte) (*trace.Trace, error) {
+			tr := new(trace.Trace)
+			if err := json.Unmarshal(b, tr); err != nil {
+				return nil, err
+			}
+			return s.own(tr), nil
+		},
+	})
+	s.learners.Persist(ps, memo.Codec[LearnerKey, *predictor.SequenceLearner]{
+		Key: func(k LearnerKey) string {
+			return fmt.Sprintf("learner|tpa=%d|corpus=%d|train=%d", k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
+		},
+		Encode: func(l *predictor.SequenceLearner) ([]byte, error) { return json.Marshal(l.Model()) },
+		Decode: func(b []byte) (*predictor.SequenceLearner, error) {
+			m := new(mlr.Model)
+			if err := json.Unmarshal(b, m); err != nil {
+				return nil, err
+			}
+			return predictor.LearnerFromModel(m)
+		},
+	})
 	return s
+}
+
+// own marks a trace as generated (or loaded) by this store, so its derived
+// artifacts are memoized. It runs inside the trace's build, before any
+// waiter sees the pointer.
+func (s *Store) own(tr *trace.Trace) *trace.Trace {
+	s.mu.Lock()
+	s.owned[tr] = true
+	s.mu.Unlock()
+	return tr
 }
 
 // owns reports whether the store generated the trace (and thus keeps its
@@ -229,39 +235,23 @@ func (s *Store) owns(tr *trace.Trace) bool {
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	pageBuilds, pageHits := webapp.PageCacheStats()
-	s.mu.Lock()
-	entries := int64(len(s.traces))
-	s.mu.Unlock()
+	tr, rt, fp, ln := s.traces.Stats(), s.runtimes.Stats(), s.fingerprints.Stats(), s.learners.Stats()
 	return Stats{
-		TraceBuilds:       s.traceBuilds.Load(),
-		TraceHits:         s.traceHits.Load(),
-		RuntimeBuilds:     s.runtimeBuilds.Load(),
-		RuntimeHits:       s.runtimeHits.Load(),
-		FingerprintBuilds: s.fingerprintBuilds.Load(),
-		FingerprintHits:   s.fingerprintHits.Load(),
-		LearnerBuilds:     s.learnerBuilds.Load(),
-		LearnerHits:       s.learnerHits.Load(),
-		TraceEntries:      entries,
-		TraceEvictions:    s.traceEvictions.Load(),
-		TraceStoreHits:    s.traceStoreHits.Load(),
-		LearnerStoreHits:  s.learnerStoreHits.Load(),
+		TraceBuilds:       tr.Builds,
+		TraceHits:         tr.Hits,
+		RuntimeBuilds:     rt.Builds,
+		RuntimeHits:       rt.Hits,
+		FingerprintBuilds: fp.Builds,
+		FingerprintHits:   fp.Hits,
+		LearnerBuilds:     ln.Builds,
+		LearnerHits:       ln.Hits,
+		TraceEntries:      tr.Entries,
+		TraceEvictions:    tr.Evictions,
+		TraceStoreHits:    tr.StoreHits,
+		LearnerStoreHits:  ln.StoreHits,
 		PageBuilds:        pageBuilds,
 		PageHits:          pageHits,
 	}
-}
-
-// entryLocked returns m[k], creating it with mk on first request, and
-// reports whether the entry already existed. Generics keep the five
-// singleflight maps on one code path.
-func entryLocked[K comparable, E any](mu *sync.Mutex, m map[K]*E, k K, mk func() *E) (*E, bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if e, ok := m[k]; ok {
-		return e, true
-	}
-	e := mk()
-	m[k] = e
-	return e, false
 }
 
 // Trace returns the deterministic trace for (application, seed, purpose,
@@ -269,90 +259,13 @@ func entryLocked[K comparable, E any](mu *sync.Mutex, m map[K]*E, k K, mk func()
 // callers must not mutate it.
 func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.Options) *trace.Trace {
 	k := traceKey{app: spec.Name, seed: seed, purpose: purpose, opts: opts}
-	e, hit := entryLocked(&s.mu, s.traces, k, func() *traceEntry { return &traceEntry{} })
-	if hit {
-		s.traceHits.Add(1)
-	}
-	e.once.Do(func() {
-		e.tr = s.buildTrace(spec, seed, purpose, opts)
-		s.mu.Lock()
-		s.owned[e.tr] = true
-		s.mu.Unlock()
-	})
-	s.touchTrace(k, e)
-	return e.tr
-}
-
-// buildTrace resolves a trace-cache miss: plain generation without a
-// persistent store, get-or-build through it otherwise. A loaded trace is
-// bit-equivalent to a generated one (trace.Trace round-trips through JSON
-// exactly, floats included), so fingerprints — and through them the batch
-// memo keys — are identical either way.
-func (s *Store) buildTrace(spec *webapp.Spec, seed int64, purpose string, opts trace.Options) *trace.Trace {
-	generate := func() *trace.Trace {
-		s.traceBuilds.Add(1)
+	// Generation cannot fail, so neither can the lookup.
+	tr, _, _ := s.traces.Get(k, func() (*trace.Trace, error) {
 		tr := trace.Generate(spec, seed, opts)
 		tr.Purpose = purpose
-		return tr
-	}
-	if s.persist == nil {
-		return generate()
-	}
-	key := fmt.Sprintf("trace|%s|%d|%s|%+v", spec.Name, seed, purpose, opts)
-	var built *trace.Trace
-	val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
-		built = generate()
-		return json.Marshal(built)
+		return s.own(tr), nil
 	})
-	if built != nil {
-		return built
-	}
-	if err == nil {
-		tr := new(trace.Trace)
-		if err := json.Unmarshal(val, tr); err == nil {
-			s.traceStoreHits.Add(1)
-			return tr
-		}
-	}
-	// Store trouble (encode/decode mismatch from a foreign writer) never
-	// fails a trace request — generation is always available.
-	return generate()
-}
-
-// touchTrace marks a trace entry most-recently-used once it is built and
-// applies the LRU bound. Evicting a trace drops its derived runtime-event
-// and fingerprint entries too; consumers already holding the trace pointer
-// keep working (the trace itself is immutable), and a later request for the
-// same key regenerates a bit-identical trace.
-func (s *Store) touchTrace(k traceKey, e *traceEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.elem != nil {
-		s.traceLRU.MoveToFront(e.elem)
-		return
-	}
-	if s.traces[k] != e {
-		return // evicted while (or before) completing
-	}
-	e.elem = s.traceLRU.PushFront(k)
-	if s.maxTraces <= 0 {
-		return
-	}
-	for len(s.traces) > s.maxTraces {
-		back := s.traceLRU.Back()
-		if back == nil {
-			break // only in-flight entries remain
-		}
-		old := back.Value.(traceKey)
-		if oe, ok := s.traces[old]; ok && oe.elem == back {
-			delete(s.traces, old)
-			delete(s.owned, oe.tr)
-			delete(s.runtimes, oe.tr)
-			delete(s.fingerprints, oe.tr)
-			s.traceEvictions.Add(1)
-		}
-		s.traceLRU.Remove(back)
-	}
+	return tr
 }
 
 // Runtime returns the runtime event instances of a trace, parsing them on
@@ -365,15 +278,8 @@ func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
 	if !s.owns(tr) {
 		return tr.Runtime()
 	}
-	e, hit := entryLocked(&s.mu, s.runtimes, tr, func() *runtimeEntry { return &runtimeEntry{} })
-	if hit {
-		s.runtimeHits.Add(1)
-	}
-	e.once.Do(func() {
-		s.runtimeBuilds.Add(1)
-		e.evs, e.err = tr.Runtime()
-	})
-	return e.evs, e.err
+	evs, _, err := s.runtimes.Get(tr, tr.Runtime)
+	return evs, err
 }
 
 // Fingerprint hashes the platform parameters and the full trace content.
@@ -396,15 +302,7 @@ func (s *Store) Fingerprint(p *acmp.Platform, tr *trace.Trace) string {
 	if !s.owns(tr) {
 		traceHash = computeTraceHash(tr)
 	} else {
-		e, hit := entryLocked(&s.mu, s.fingerprints, tr, func() *fingerprintEntry { return &fingerprintEntry{} })
-		if hit {
-			s.fingerprintHits.Add(1)
-		}
-		e.once.Do(func() {
-			s.fingerprintBuilds.Add(1)
-			e.hash = computeTraceHash(tr)
-		})
-		traceHash = e.hash
+		traceHash, _, _ = s.fingerprints.Get(tr, func() (string, error) { return computeTraceHash(tr), nil })
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%+v|%+v|%d|%d|%g|%s",
@@ -435,17 +333,16 @@ func (s *Store) Corpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, pu
 		names += spec.Name
 	}
 	k := corpusKey{apps: names, tracesPerApp: tracesPerApp, baseSeed: baseSeed, purpose: purpose, opts: opts}
-	e, _ := entryLocked(&s.mu, s.corpora, k, func() *corpusEntry { return &corpusEntry{} })
-	e.once.Do(func() {
+	corpus, _, _ := s.corpora.Get(k, func() (trace.Corpus, error) {
 		out := make(trace.Corpus, 0, len(apps)*tracesPerApp)
 		for ai, spec := range apps {
 			for u := 0; u < tracesPerApp; u++ {
 				out = append(out, s.Trace(spec, trace.CorpusSeed(baseSeed, ai, u), purpose, opts))
 			}
 		}
-		e.corpus = out
+		return out, nil
 	})
-	return e.corpus
+	return corpus
 }
 
 // Learner returns the trained sequence learner for the key (and the training
@@ -454,64 +351,17 @@ func (s *Store) Corpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, pu
 // and, through the session memo key's learner identity, one batch cache
 // slot per session.
 func (s *Store) Learner(k LearnerKey) (*predictor.SequenceLearner, trace.Corpus, error) {
-	e, hit := entryLocked(&s.mu, s.learners, k, func() *learnerEntry { return &learnerEntry{} })
-	if hit {
-		s.learnerHits.Add(1)
-	}
-	e.once.Do(func() {
-		// The corpus is needed in both paths: a freshly trained learner fits
-		// on it, and a store-loaded one is still returned alongside it (the
-		// harness replays training traces for its own reporting). Corpus
-		// traces go through the per-trace cache, so a persistent store warms
-		// them too.
-		corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
-		train := func() (*predictor.SequenceLearner, error) {
-			s.learnerBuilds.Add(1)
-			learner := predictor.NewSequenceLearner()
-			if err := learner.Train(corpus, mlr.TrainConfig{Seed: k.TrainSeed}); err != nil {
-				return nil, fmt.Errorf("artifacts: training %+v: %w", k, err)
-			}
-			return learner, nil
+	// The corpus is returned alongside the learner even when the model was
+	// loaded from the persistent store (the harness replays training traces
+	// for its own reporting); its traces go through the per-trace cache, so
+	// a persistent store warms them too.
+	corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
+	learner, _, err := s.learners.Get(k, func() (*predictor.SequenceLearner, error) {
+		learner := predictor.NewSequenceLearner()
+		if err := learner.Train(corpus, mlr.TrainConfig{Seed: k.TrainSeed}); err != nil {
+			return nil, fmt.Errorf("artifacts: training %+v: %w", k, err)
 		}
-		if s.persist == nil {
-			e.learner, e.err = train()
-			e.corpus = corpus
-			return
-		}
-		// The key is configuration-addressed, not content-addressed — safe
-		// because training is deterministic: equal configurations produce
-		// bit-identical models, which is the same contract LearnerKey
-		// already guarantees in memory.
-		key := fmt.Sprintf("learner|tpa=%d|corpus=%d|train=%d", k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
-		var built *predictor.SequenceLearner
-		val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
-			l, err := train()
-			if err != nil {
-				return nil, err
-			}
-			built = l
-			return json.Marshal(l.Model())
-		})
-		if built != nil {
-			e.learner, e.corpus = built, corpus
-			return
-		}
-		if err != nil {
-			e.err = err
-			return
-		}
-		m := new(mlr.Model)
-		if err := json.Unmarshal(val, m); err == nil {
-			if l, lerr := predictor.LearnerFromModel(m); lerr == nil {
-				s.learnerStoreHits.Add(1)
-				e.learner, e.corpus = l, corpus
-				return
-			}
-		}
-		// A stored model that doesn't decode or doesn't match the current
-		// feature shape (written by an older build) falls back to training.
-		e.learner, e.err = train()
-		e.corpus = corpus
+		return learner, nil
 	})
-	return e.learner, e.corpus, e.err
+	return learner, corpus, err
 }

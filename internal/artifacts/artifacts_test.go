@@ -137,9 +137,7 @@ func TestExternalTracesAreNotRetained(t *testing.T) {
 			t.Fatal("uncached fingerprint disagrees with cached one for identical content")
 		}
 	}
-	store.mu.Lock()
-	runtimes, fingerprints := len(store.runtimes), len(store.fingerprints)
-	store.mu.Unlock()
+	runtimes, fingerprints := store.runtimes.Len(), store.fingerprints.Len()
 	if runtimes > 0 || fingerprints > 1 {
 		t.Errorf("external traces were retained: %d runtime entries (want 0), %d fingerprint entries (want ≤1)",
 			runtimes, fingerprints)

@@ -8,18 +8,17 @@
 package batch
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
 	"time"
 
 	"repro/internal/artifacts"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/store"
@@ -59,9 +58,11 @@ type Session struct {
 
 // Stats reports the work a Runner has performed.
 type Stats struct {
-	// Sessions is the number of sessions requested.
+	// Sessions is the number of sessions resolved: UniqueRuns + CacheHits +
+	// StoreHits.
 	Sessions int64
-	// UniqueRuns is the number of simulations actually executed.
+	// UniqueRuns is the number of simulations actually executed, failed
+	// ones included.
 	UniqueRuns int64
 	// CacheHits is the number of sessions served from the memo cache.
 	CacheHits int64
@@ -104,17 +105,7 @@ type Runner struct {
 	workers   int
 	artifacts *artifacts.Store
 	persist   *store.Store
-
-	mu         sync.Mutex
-	cache      map[Key]*entry
-	maxEntries int        // 0 = unbounded
-	lru        *list.List // completed keys, most recently used first
-
-	sessions   atomic.Int64
-	uniqueRuns atomic.Int64
-	cacheHits  atomic.Int64
-	storeHits  atomic.Int64
-	evictions  atomic.Int64
+	cache     *memo.Cache[Key, *engine.Result]
 
 	solverMu sync.Mutex
 	solver   optimizer.SolverStats
@@ -126,25 +117,13 @@ type Runner struct {
 	solveSeconds   *obs.Histogram
 }
 
-// entry is a singleflight-style cache slot: the first requester simulates,
-// concurrent requesters for the same key block on the Once and then share
-// the result.
-type entry struct {
-	once sync.Once
-	res  *engine.Result
-	err  error
-	// elem is the entry's LRU slot, linked (under Runner.mu) once the build
-	// completes; in-flight entries are never evicted.
-	elem *list.Element
-}
-
 // NewRunner creates a runner with the given worker-pool size; workers <= 0
 // selects runtime.NumCPU().
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Runner{workers: workers, cache: make(map[Key]*entry), lru: list.New()}
+	return &Runner{workers: workers, cache: memo.New[Key, *engine.Result]()}
 }
 
 // WithMaxEntries bounds the memo cache to at most n completed results,
@@ -153,9 +132,7 @@ func NewRunner(workers int) *Runner {
 // synchronized, but the bound only applies to entries completed after it is
 // set — set it before running batches.
 func (r *Runner) WithMaxEntries(n int) *Runner {
-	r.mu.Lock()
-	r.maxEntries = n
-	r.mu.Unlock()
+	r.cache.SetMax(n)
 	return r
 }
 
@@ -182,12 +159,16 @@ func (r *Runner) AttachArtifacts(s *artifacts.Store) *Runner {
 // chaining; ps may be nil (no persistence, the default).
 func (r *Runner) WithStore(ps *store.Store) *Runner {
 	r.persist = ps
+	r.cache.Persist(ps, memo.Codec[Key, *engine.Result]{
+		Key:    storeKey,
+		Encode: func(res *engine.Result) ([]byte, error) { return json.Marshal(res) },
+		Decode: func(b []byte) (*engine.Result, error) {
+			res := new(engine.Result)
+			return res, json.Unmarshal(b, res)
+		},
+	})
 	return r
 }
-
-// PersistentStore returns the persistent store attached with WithStore, or
-// nil.
-func (r *Runner) PersistentStore() *store.Store { return r.persist }
 
 // storeKey renders a memo key as the persistent store's content address.
 // Every component of Key is content-derived (Variant carries the platform,
@@ -200,20 +181,15 @@ func storeKey(k Key) string {
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
-	r.solverMu.Lock()
-	solver := r.solver
-	r.solverMu.Unlock()
-	r.mu.Lock()
-	entries := int64(len(r.cache))
-	r.mu.Unlock()
+	c := r.cache.Stats()
 	st := Stats{
-		Sessions:       r.sessions.Load(),
-		UniqueRuns:     r.uniqueRuns.Load(),
-		CacheHits:      r.cacheHits.Load(),
-		CacheEntries:   entries,
-		CacheEvictions: r.evictions.Load(),
-		StoreHits:      r.storeHits.Load(),
-		Solver:         solver,
+		Sessions:       c.Hits + c.Builds + c.StoreHits,
+		UniqueRuns:     c.Builds,
+		CacheHits:      c.Hits,
+		CacheEntries:   c.Entries,
+		CacheEvictions: c.Evictions,
+		StoreHits:      c.StoreHits,
+		Solver:         r.solverSnapshot(),
 	}
 	if r.artifacts != nil {
 		a := r.artifacts.Stats()
@@ -226,122 +202,25 @@ func (r *Runner) Stats() Stats {
 	return st
 }
 
-// entryFor returns the cache slot for a key, creating it if needed.
-func (r *Runner) entryFor(k Key) *entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.cache[k]
-	if !ok {
-		e = &entry{}
-		r.cache[k] = e
-	}
-	return e
-}
-
-// touch marks an entry most-recently-used once its build has completed and
-// applies the LRU bound. Only completed entries join the LRU list, so an
-// in-flight simulation can never be evicted from under its waiters; an
-// entry evicted between its build and this touch (possible when another
-// key's touch ran eviction first) is simply not re-linked.
-func (r *Runner) touch(k Key, e *entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.elem != nil {
-		r.lru.MoveToFront(e.elem)
-		return
-	}
-	if r.cache[k] != e {
-		return // evicted while (or before) completing
-	}
-	e.elem = r.lru.PushFront(k)
-	if r.maxEntries <= 0 {
-		return
-	}
-	for len(r.cache) > r.maxEntries {
-		back := r.lru.Back()
-		if back == nil {
-			break // only in-flight entries remain
-		}
-		old := back.Value.(Key)
-		if oe, ok := r.cache[old]; ok && oe.elem == back {
-			delete(r.cache, old)
-			r.evictions.Add(1)
-		}
-		r.lru.Remove(back)
-	}
-}
-
-// one resolves a single session through the cache.
+// one resolves a single session through the cache. Only a simulation this
+// runner executed contributes solver stats; a result shared from the memo
+// or decoded from the store repeated no solver work.
 func (r *Runner) one(s Session) (*engine.Result, error) {
-	r.sessions.Add(1)
 	var start time.Time
 	if r.sessionSeconds != nil {
 		start = time.Now()
 	}
-	e := r.entryFor(s.Key)
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.res, e.err = r.build(s)
-	})
-	r.touch(s.Key, e)
-	if hit {
-		r.cacheHits.Add(1)
+	res, src, err := r.cache.Get(s.Key, s.Run)
+	if src == memo.Built && res != nil {
+		r.solveSeconds.ObserveSeconds(res.Solver.WallNS)
+		r.solverMu.Lock()
+		r.solver = r.solver.Add(res.Solver)
+		r.solverMu.Unlock()
 	}
 	if r.sessionSeconds != nil {
 		r.sessionSeconds.ObserveSeconds(int64(time.Since(start)))
 	}
-	return e.res, e.err
-}
-
-// build resolves a memo-cache miss: straight simulation when no persistent
-// store is attached, otherwise get-or-build through the store. The store's
-// singleflight spans runners — when another runner sharing the store is
-// already simulating this key, we block on its build instead of starting a
-// second one. Only a simulation this runner actually executed counts as a
-// unique run and contributes solver stats; a session decoded from stored
-// bytes counts as a store hit.
-func (r *Runner) build(s Session) (*engine.Result, error) {
-	if r.persist == nil {
-		r.uniqueRuns.Add(1)
-		res, err := s.Run()
-		r.addSolver(res)
-		return res, err
-	}
-	var built *engine.Result
-	val, _, err := r.persist.GetOrBuild(storeKey(s.Key), func() ([]byte, error) {
-		res, err := s.Run()
-		if err != nil {
-			return nil, err
-		}
-		built = res
-		return json.Marshal(res)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if built != nil {
-		r.uniqueRuns.Add(1)
-		r.addSolver(built)
-		return built, nil
-	}
-	res := new(engine.Result)
-	if err := json.Unmarshal(val, res); err != nil {
-		return nil, fmt.Errorf("batch: decoding stored result for %s: %w", storeKey(s.Key), err)
-	}
-	r.storeHits.Add(1)
-	return res, nil
-}
-
-// addSolver folds a unique run's solver work into the aggregate.
-func (r *Runner) addSolver(res *engine.Result) {
-	if res == nil {
-		return
-	}
-	r.solveSeconds.ObserveSeconds(res.Solver.WallNS)
-	r.solverMu.Lock()
-	r.solver = r.solver.Add(res.Solver)
-	r.solverMu.Unlock()
+	return res, err
 }
 
 // Run simulates every session and returns the results index-aligned with

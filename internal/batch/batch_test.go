@@ -321,10 +321,8 @@ func TestRunnerLRUBound(t *testing.T) {
 	if _, err := r.Run([]Session{ebsSession(t, "cnn", 4)}); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
-	_, has1 := r.cache[ebsSession(t, "cnn", 1).Key]
-	_, has2 := r.cache[ebsSession(t, "cnn", 2).Key]
-	r.mu.Unlock()
+	_, has1 := r.cache.Peek(ebsSession(t, "cnn", 1).Key)
+	_, has2 := r.cache.Peek(ebsSession(t, "cnn", 2).Key)
 	if !has1 || has2 {
 		t.Errorf("LRU victim wrong: seed1 cached=%t (want true), seed2 cached=%t (want false)", has1, has2)
 	}

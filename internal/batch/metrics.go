@@ -22,27 +22,22 @@ func (r *Runner) solverSnapshot() optimizer.SolverStats {
 func (r *Runner) RegisterMetrics(reg *obs.Registry) *Runner {
 	reg.CounterFunc("pes_sessions_total",
 		"Sessions requested through the batch runner (memo hits included).",
-		func() float64 { return float64(r.sessions.Load()) })
+		func() float64 { c := r.cache.Stats(); return float64(c.Hits + c.Builds + c.StoreHits) })
 	reg.CounterFunc("pes_unique_runs_total",
 		"Simulations actually executed (memo and store misses).",
-		func() float64 { return float64(r.uniqueRuns.Load()) })
+		func() float64 { return float64(r.cache.Stats().Builds) })
 	reg.CounterFunc("pes_cache_hits_total",
 		"Sessions served from the in-memory memo cache.",
-		func() float64 { return float64(r.cacheHits.Load()) })
+		func() float64 { return float64(r.cache.Stats().Hits) })
 	reg.GaugeFunc("pes_cache_entries",
 		"Results currently retained in the memo cache.",
-		func() float64 {
-			r.mu.Lock()
-			n := len(r.cache)
-			r.mu.Unlock()
-			return float64(n)
-		})
+		func() float64 { return float64(r.cache.Len()) })
 	reg.CounterFunc("pes_cache_evictions_total",
 		"Memo-cache results dropped by the LRU bound.",
-		func() float64 { return float64(r.evictions.Load()) })
+		func() float64 { return float64(r.cache.Stats().Evictions) })
 	reg.CounterFunc("pes_store_hits_total",
 		"Sessions served from the persistent store instead of simulated.",
-		func() float64 { return float64(r.storeHits.Load()) })
+		func() float64 { return float64(r.cache.Stats().StoreHits) })
 
 	reg.CounterFunc("pes_solver_solves_total",
 		"ilp.Solve invocations across unique runs.",

@@ -62,7 +62,8 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 		sessions = append(sessions, countedSession(t, "cnn", seed, &coldRuns))
 	}
 
-	cold := NewRunner(2).WithStore(openStore(t, dir))
+	coldStore := openStore(t, dir)
+	cold := NewRunner(2).WithStore(coldStore)
 	coldOut, err := cold.Run(sessions)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	if st := cold.Stats(); st.UniqueRuns != 4 || st.StoreHits != 0 {
 		t.Fatalf("cold stats: %+v", st)
 	}
-	if err := cold.PersistentStore().Close(); err != nil {
+	if err := coldStore.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,5 +213,63 @@ func TestStoreErrorNotPersisted(t *testing.T) {
 	}
 	if n := ps.Len(); n != 0 {
 		t.Fatalf("failed build persisted %d records", n)
+	}
+}
+
+// TestUndecodableStoredResultRebuilds: a stored record that no longer
+// decodes is rebuilt once, the caller gets the correct result, and the
+// rebuilt bytes replace the bad record so the next process hits again.
+func TestUndecodableStoredResultRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	ps := openStore(t, dir)
+	var runs atomic.Int64
+	s := countedSession(t, "cnn", 3, &runs)
+	want, err := ebsSession(t, "cnn", 3).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Put(storeKey(s.Key), []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(1).WithStore(ps)
+	out, err := r.Run([]Session{s})
+	if err != nil {
+		t.Fatalf("undecodable record failed the session: %v", err)
+	}
+	if !sameJSON(t, out[0], want) {
+		t.Error("rebuilt result differs from a direct simulation")
+	}
+	if st := r.Stats(); st.UniqueRuns != 1 || st.StoreHits != 0 {
+		t.Errorf("stats after rebuild: %+v, want 1 unique run / 0 store hits", st)
+	}
+
+	// A fresh runner on the same store now decodes the rewritten record.
+	again := NewRunner(1).WithStore(ps)
+	if _, err := again.Run([]Session{s}); err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Stats(); st.UniqueRuns != 0 || st.StoreHits != 1 || runs.Load() != 1 {
+		t.Errorf("rewritten record not served: %+v after %d runs", st, runs.Load())
+	}
+}
+
+// TestFailedBuildCountsAsUniqueRun: a failing simulation is one unique run
+// whether or not a persistent store is attached.
+func TestFailedBuildCountsAsUniqueRun(t *testing.T) {
+	for _, withStore := range []bool{false, true} {
+		r := NewRunner(1)
+		if withStore {
+			r.WithStore(openStore(t, t.TempDir()))
+		}
+		boom := Session{Key: ebsSession(t, "cnn", 8).Key, Run: func() (*engine.Result, error) {
+			return nil, errTest
+		}}
+		if _, err := r.Run([]Session{boom}); !errors.Is(err, errTest) {
+			t.Fatalf("store=%t: error = %v, want %v", withStore, err, errTest)
+		}
+		if st := r.Stats(); st.Sessions != 1 || st.UniqueRuns != 1 {
+			t.Errorf("store=%t: stats %+v, want 1 session / 1 unique run", withStore, st)
+		}
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/experiments"
+	"repro/internal/memo"
 	"repro/internal/store"
 )
 
@@ -349,7 +351,7 @@ func TestSubmitQueueFull429(t *testing.T) {
 		setup:   shared.setup,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, 1),
-		figures: make(map[string]*figEntry),
+		figures: memo.New[string, *experiments.Table](),
 	}
 	if _, err := s.Submit(Campaign{Apps: []string{"cnn"}}); err != nil {
 		t.Fatalf("first Submit: %v", err)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sessions"
@@ -171,13 +172,6 @@ type Results struct {
 // that failed to compute (HTTP 500).
 var errUnknownFigure = errors.New("unknown figure")
 
-// figEntry is a singleflight cache slot for one figure.
-type figEntry struct {
-	once sync.Once
-	tab  *experiments.Table
-	err  error
-}
-
 // Server is the simulation service: one trained harness setup, one shared
 // batch runner (and thus one cross-request memo cache), a bounded campaign
 // queue, and the HTTP handlers on top.
@@ -215,7 +209,7 @@ type Server struct {
 
 	queue   chan *job
 	wg      sync.WaitGroup
-	figures map[string]*figEntry
+	figures *memo.Cache[string, *experiments.Table]
 }
 
 // New trains the shared predictor, generates the evaluation corpus, and
@@ -250,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
-		figures: make(map[string]*figEntry),
+		figures: memo.New[string, *experiments.Table](),
 	}
 	if s.metrics == nil {
 		s.metrics = obs.NewRegistry()
@@ -481,15 +475,8 @@ func (s *Server) figure(name string) (*experiments.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	e, ok := s.figures[canon]
-	if !ok {
-		e = &figEntry{}
-		s.figures[canon] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.tab, e.err = gen() })
-	return e.tab, e.err
+	tab, _, err := s.figures.Get(canon, gen)
+	return tab, err
 }
 
 // figureGen resolves a figure name (with the same aliases as

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/memo"
 	"repro/internal/sessions"
 )
 
@@ -565,7 +566,7 @@ func TestSubmitBuildsNoTraces(t *testing.T) {
 		runCtx:  context.Background(),
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, 1),
-		figures: make(map[string]*figEntry),
+		figures: memo.New[string, *experiments.Table](),
 	}
 	arts := shared.Setup().Artifacts
 	lookups := func() int64 { st := arts.Stats(); return st.TraceBuilds + st.TraceHits }

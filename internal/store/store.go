@@ -1,7 +1,8 @@
 // Package store is the persistent, content-addressed half of the cache
 // hierarchy: a disk-backed key/value store that survives process restarts,
-// layered *under* the in-memory caches (the batch memo cache of
-// internal/batch and the trace/learner caches of internal/artifacts).
+// layered *under* the in-memory caches: a memo.Cache with a persistent tier
+// (the batch result cache, the artifact trace and learner caches) reaches it
+// through GetOrBuild.
 //
 // Keys are content fingerprints — the same tuples that key the in-memory
 // caches (platform, app, trace seed, scheduler, predictor configuration,
@@ -138,14 +139,6 @@ type Stats struct {
 	// SharedBuilds counts GetOrBuild callers that were served by another
 	// caller's in-flight build instead of building or reading themselves.
 	SharedBuilds int64 `json:"shared_builds"`
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // ref locates one live record's value inside the log.

@@ -1,10 +1,10 @@
 package webapp
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dom"
+	"repro/internal/memo"
 	"repro/internal/webevent"
 )
 
@@ -22,10 +22,8 @@ type pageKey struct {
 // of rebuilding the page. The cache is process-wide and immutable: masters
 // are never handed out directly, only clones.
 var (
-	pageCache       sync.Map // pageKey -> *dom.Tree (immutable master)
-	pageCacheOff    atomic.Bool
-	pageCacheBuilds atomic.Int64
-	pageCacheHits   atomic.Int64
+	pageCache    = memo.New[pageKey, builtPageEntry]()
+	pageCacheOff atomic.Bool
 )
 
 // SetPageCache enables or disables the shared page-tree cache and reports
@@ -38,7 +36,8 @@ func SetPageCache(enabled bool) (was bool) {
 // PageCacheStats returns how many page trees were built and how many session
 // page loads were served by cloning a cached master.
 func PageCacheStats() (builds, hits int64) {
-	return pageCacheBuilds.Load(), pageCacheHits.Load()
+	st := pageCache.Stats()
+	return st.Builds, st.Hits
 }
 
 // builtPageEntry pairs a master page tree with its semantic view.
@@ -48,29 +47,21 @@ type builtPageEntry struct {
 }
 
 // builtPage returns a mutable tree for the page plus its semantic view, from
-// the cache when enabled.
+// the cache when enabled. Concurrent first loads of a page share one build.
+// The semantic entries are immutable and shared; only their tree binding is
+// per-session.
 func builtPage(spec *Spec, page string, seed int64) (*dom.Tree, *dom.SemanticTree) {
 	if pageCacheOff.Load() {
 		t := spec.BuildPage(page, seed)
 		return t, dom.BuildSemanticTree(t)
 	}
 	k := pageKey{app: spec.Name, page: page, seed: seed}
-	if v, ok := pageCache.Load(k); ok {
-		pageCacheHits.Add(1)
-		e := v.(builtPageEntry)
-		t := e.tree.Clone()
-		return t, e.sem.Rebind(t)
-	}
-	pageCacheBuilds.Add(1)
-	t := spec.BuildPage(page, seed)
-	sem := dom.BuildSemanticTree(t)
-	// Store an immutable snapshot; the freshly built tree itself is returned
-	// to the caller for mutation. A concurrent racer may have stored first —
-	// both snapshots are identical, so either winning is fine. The semantic
-	// entries are immutable and shared; only its tree binding is per-session.
-	master := t.Clone()
-	pageCache.LoadOrStore(k, builtPageEntry{tree: master, sem: sem.Rebind(master)})
-	return t, sem
+	master, _, _ := pageCache.Get(k, func() (builtPageEntry, error) {
+		t := spec.BuildPage(page, seed)
+		return builtPageEntry{tree: t, sem: dom.BuildSemanticTree(t)}, nil
+	})
+	t := master.tree.Clone()
+	return t, master.sem.Rebind(t)
 }
 
 // Session tracks the DOM state of one user's interaction with an

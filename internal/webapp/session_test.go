@@ -1,6 +1,7 @@
 package webapp
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dom"
@@ -156,5 +157,47 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 	}
 	if c.Tree().Len() != b.Tree().Len() {
 		t.Error("cache-off session built a different page")
+	}
+}
+
+// TestPageCacheConcurrentFirstLoadBuildsOnce: sessions racing to load the
+// same never-seen page share one build, and each still gets its own tree.
+func TestPageCacheConcurrentFirstLoadBuildsOnce(t *testing.T) {
+	spec := SeenApps()[1]
+	const n = 8
+	builds0, _ := PageCacheStats()
+	// A seed no earlier load used, so the page is never-seen even under
+	// -count.
+	seed := 424242 + builds0
+
+	start := make(chan struct{})
+	sessions := make([]*Session, n)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			sessions[i] = NewSession(spec, seed)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if builds, _ := PageCacheStats(); builds != builds0+1 {
+		t.Errorf("%d concurrent first loads built %d pages, want 1", n, builds-builds0)
+	}
+	seen := make(map[*dom.Tree]bool)
+	for _, s := range sessions {
+		if seen[s.Tree()] {
+			t.Fatal("two sessions share one page tree")
+		}
+		seen[s.Tree()] = true
+	}
+	sessions[0].Apply(spec.Behavior.MoveManifestation, 0)
+	for _, s := range sessions[1:] {
+		if s.Tree().ViewportTop != 0 || s.Tree().Len() != sessions[0].Tree().Len() {
+			t.Fatal("scrolling one session moved another, or the clones differ")
+		}
 	}
 }
