@@ -209,27 +209,30 @@ const warmColdRatioFloor = 1.4
 // solver's budget-pinned cost is the artifact the version flag preserves.
 const oraclePESRatioFloor = 5.0
 
-// SolverReport summarizes the solver microbenchmark suite: the overhauled
-// Solve versus the frozen SolveReference on identical instances.
+// SolverReport summarizes the solver microbenchmark suite: the production
+// ilp.Solver versus the frozen reference traversal SolveReferenceOrder on
+// identical instances.
 type SolverReport struct {
 	// Problems is the number of instances in the suite; Aborted counts
-	// instances where either solver exhausted its node budget (excluded
-	// from the energy cross-check, included in the node counters).
+	// instances where either search exhausted its node budget (excluded
+	// from the energy cross-check and from every counter below).
 	Problems int `json:"problems"`
 	Aborted  int `json:"aborted"`
 	// Nodes and RefNodes are the summed branch-and-bound nodes explored by
-	// Solve and SolveReference; NodeRatio = RefNodes/Nodes is the headline
-	// reduction (the acceptance floor is 2x). All three are deterministic.
+	// Solver and SolveReferenceOrder (whose count equals the pre-overhaul
+	// SolveReference's bit for bit); NodeRatio = RefNodes/Nodes is the
+	// headline reduction (the acceptance floor is 2x). All three are
+	// deterministic.
 	Nodes     int64   `json:"nodes"`
 	RefNodes  int64   `json:"ref_nodes"`
 	NodeRatio float64 `json:"node_ratio"`
-	// Wall-time per solve for Solve, SolveReference, and the Oracle's
-	// budget-pinned SolveReferenceOrder (host measurements).
-	NsPerSolve         float64 `json:"ns_per_solve"`
-	RefNsPerSolve      float64 `json:"ref_ns_per_solve"`
-	RefOrderNsPerSolve float64 `json:"ref_order_ns_per_solve"`
-	// EnergyMismatches counts non-aborted instances where Solve returned a
-	// different total energy than SolveReference; any value but 0 is a bug.
+	// Wall-time per solve for Solver and SolveReferenceOrder (host
+	// measurements).
+	NsPerSolve    float64 `json:"ns_per_solve"`
+	RefNsPerSolve float64 `json:"ref_ns_per_solve"`
+	// EnergyMismatches counts non-aborted instances where Solver returned a
+	// different total energy than SolveReferenceOrder; any value but 0 is a
+	// bug.
 	EnergyMismatches int `json:"energy_mismatches"`
 	// GreedyGapPct is the mean energy saving of the exact solve over the
 	// greedy heuristic, in percent — what the branch-and-bound buys.
@@ -453,14 +456,17 @@ func benchStore(dir string, syncEvery int, oracleVer sched.OracleVersion) (*Stor
 }
 
 // benchSolver runs the solver microbenchmark suite: identical instances
-// through Solve, SolveReference, and SolveReferenceOrder. The instances
+// through one reused ilp.Solver — the search the PES optimizer and Oracle
+// v2 run, reused across solves exactly as they reuse theirs — and the
+// frozen reference traversal SolveReferenceOrder. The instances
 // come from the shared chaingen distribution (the 17-point Exynos-shaped
 // ladder), the same one the ilp node-reduction property test pins.
 func benchSolver(seed int64) SolverReport {
 	// Sizes mirror the optimizer's real instances: PES plans span an
 	// outstanding event plus a handful of predicted ones. Larger windows
-	// (the Oracle's 12) exhaust the node budget in both solvers and would
-	// only measure the budget, so they are left to the session benchmarks.
+	// (the Oracle's 12) exhaust the reference traversal's node budget and
+	// would only measure the budget, so they are left to the session
+	// benchmarks.
 	const perSize = 30
 	sizes := []int{2, 3, 4, 6, 8}
 	pts := chaingen.Points()
@@ -474,20 +480,19 @@ func benchSolver(seed int64) SolverReport {
 
 	rep := SolverReport{Problems: len(problems)}
 	var gapSum float64
-	var wallNew, wallRef, wallRefOrder time.Duration
+	var wallNew, wallRef time.Duration
 	completed := 0
+	solver := ilp.NewSolver()
 	for _, p := range problems {
+		// a aliases the solver's scratch, which stays untouched until the
+		// next iteration's Solve.
 		begun := time.Now()
-		a := ilp.Solve(p)
+		a := solver.Solve(p)
 		dNew := time.Since(begun)
 
 		begun = time.Now()
-		r := ilp.SolveReference(p)
+		r := ilp.SolveReferenceOrder(p)
 		dRef := time.Since(begun)
-
-		begun = time.Now()
-		ilp.SolveReferenceOrder(p)
-		dRefOrder := time.Since(begun)
 
 		if a.Aborted() || r.Aborted() {
 			// A search that exhausted its budget measures the budget, not
@@ -499,7 +504,6 @@ func benchSolver(seed int64) SolverReport {
 		completed++
 		wallNew += dNew
 		wallRef += dRef
-		wallRefOrder += dRefOrder
 		rep.Nodes += int64(a.Nodes)
 		rep.RefNodes += int64(r.Nodes)
 		if diff := a.TotalEnergy - r.TotalEnergy; diff > 1e-9 || diff < -1e-9 {
@@ -516,7 +520,6 @@ func benchSolver(seed int64) SolverReport {
 		n := float64(completed)
 		rep.NsPerSolve = float64(wallNew.Nanoseconds()) / n
 		rep.RefNsPerSolve = float64(wallRef.Nanoseconds()) / n
-		rep.RefOrderNsPerSolve = float64(wallRefOrder.Nanoseconds()) / n
 		rep.GreedyGapPct = gapSum / n
 	}
 	return rep
@@ -849,7 +852,7 @@ func checkBaseline(cur Report, path string, enforce bool, stderr io.Writer) erro
 		failures = append(failures, fmt.Sprintf("node-reduction ratio %.2f fell below the 2x floor", cur.Solver.NodeRatio))
 	}
 	if cur.Solver.EnergyMismatches > 0 {
-		failures = append(failures, fmt.Sprintf("%d instances where Solve and SolveReference disagree on energy",
+		failures = append(failures, fmt.Sprintf("%d instances where Solver and SolveReferenceOrder disagree on energy",
 			cur.Solver.EnergyMismatches))
 	}
 	if cur.Throughput != nil && cur.Throughput.WarmColdRatio < warmColdRatioFloor {

@@ -40,7 +40,7 @@ func (r *Runner) RegisterMetrics(reg *obs.Registry) *Runner {
 		func() float64 { return float64(r.cache.Stats().StoreHits) })
 
 	reg.CounterFunc("pes_solver_solves_total",
-		"ilp.Solve invocations across unique runs.",
+		"Solver searches run (plan-cache misses) across unique runs.",
 		func() float64 { return float64(r.solverSnapshot().Solves) })
 	reg.CounterFunc("pes_solver_nodes_total",
 		"Branch-and-bound nodes explored across unique runs.",

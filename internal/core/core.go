@@ -40,15 +40,6 @@ type PES struct {
 	outBuf   []sched.SpecTask
 }
 
-// Option customizes a PES instance.
-type Option func(*PES)
-
-// WithFallback overrides the mis-prediction fallback controller (used by
-// tests and sensitivity studies).
-func WithFallback(f *control.Fallback) Option {
-	return func(p *PES) { p.fallback = f }
-}
-
 // NewPES builds a PES scheduler for one session of the given application.
 //
 // learner is the offline-trained event sequence learner; domSeed must match
@@ -56,19 +47,15 @@ func WithFallback(f *control.Fallback) Option {
 // pages the user saw; predCfg carries the confidence threshold and the DOM
 // analysis toggle (Sec. 6.5 sensitivity studies).
 func NewPES(platform *acmp.Platform, learner *predictor.SequenceLearner, spec *webapp.Spec,
-	domSeed int64, predCfg predictor.Config, opts ...Option) *PES {
+	domSeed int64, predCfg predictor.Config) *PES {
 	cost := optimizer.NewCostModel(platform)
-	p := &PES{
+	return &PES{
 		platform: platform,
 		spec:     spec,
 		pred:     predictor.New(learner, spec, domSeed, predCfg),
 		opt:      optimizer.New(platform, cost),
 		fallback: control.NewFallback(),
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
 // Name implements sched.ProactivePolicy.

@@ -105,7 +105,8 @@ func TestPESCustomFallbackOption(t *testing.T) {
 	}
 	spec, _ := webapp.ByName("bbc")
 	fb := &control.Fallback{Threshold: 0, RearmAfter: 1}
-	p := NewPES(acmp.Exynos5410(), learner, spec, 1, predictor.DefaultConfig(), WithFallback(fb))
+	p := NewPES(acmp.Exynos5410(), learner, spec, 1, predictor.DefaultConfig())
+	p.fallback = fb
 	p.OnMisprediction()
 	if p.SpeculationEnabled() {
 		t.Error("custom fallback with threshold 0 should disable on the first mis-prediction")

@@ -104,7 +104,7 @@ func TestSolveNeverWorseThanGreedy(t *testing.T) {
 // exhaustiveMin enumerates every assignment against the relaxed deadlines
 // and returns the minimum total energy. Only tractable for tiny instances.
 func exhaustiveMin(p Problem) float64 {
-	pr := prepare(p)
+	deadlines, _ := relaxedDeadlines(p)
 	n := len(p.Items)
 	best := -1.0
 	var rec func(i int, now simtime.Time, energy float64)
@@ -121,7 +121,7 @@ func exhaustiveMin(p Problem) float64 {
 		}
 		for _, c := range p.Items[i].Choices {
 			finish := now.Add(c.Latency)
-			if finish.After(pr.deadlines[i]) {
+			if finish.After(deadlines[i]) {
 				continue
 			}
 			rec(i+1, finish, energy+c.Energy)

@@ -6,16 +6,17 @@ import (
 	"repro/internal/simtime"
 )
 
-// Solver is the reusable fast-path encoding of the chain-scheduling search
-// behind Oracle v2: the same dominance-pruned branch-and-bound as Solve —
-// energy-ordered Pareto frontiers, memoized suffix latencies, frontier
-// bisection, the same node budget — run as an iterative depth-first search
-// over flattened per-item choice tables held in scratch buffers recycled
-// across calls, with a staged escalation for hard windows:
+// Solver is the production chain-scheduling search: the PES optimizer and
+// Oracle v2 both solve through one. It is a dominance-pruned
+// branch-and-bound — energy-ordered Pareto frontiers, memoized suffix
+// latencies, frontier bisection, a shared node budget — run as an iterative
+// depth-first search over flattened per-item choice tables held in scratch
+// buffers recycled across calls, with a staged escalation for hard windows:
 //
 //   - Attempt 0 runs the pruned search as-is under a small node cap. Easy
 //     instances (the overwhelming majority) finish here at pure search cost,
-//     and the result is bit-identical to Solve's, node count included.
+//     and the result is bit-identical to the test oracle Solve's, node count
+//     included.
 //   - If the cap is hit, the search restarts under an admissible
 //     arrival-time-grid lower bound: a backward DP tabulates, per item, a
 //     lower bound on the minimum suffix energy as a step function of the
@@ -30,13 +31,13 @@ import (
 //     does a still-incomplete search exhaust the shared node budget and
 //     report an abort.
 //
-// All attempts explore candidates in Solve's order and only ever prune
-// subtrees whose admissible bound proves they cannot beat the incumbent, so
-// whenever the search completes the returned energy is the exact optimum of
-// the (relaxed) instance — equal to Solve's wherever Solve itself completes.
-// The choice vector can differ from Solve's only when distinct optimal
-// assignments tie at the exact minimum energy (then the escalated attempts
-// may return the table-guided representative).
+// All attempts explore candidates in the same energy order and only ever
+// prune subtrees whose admissible bound proves they cannot beat the
+// incumbent, so whenever the search completes the returned energy is the
+// exact optimum of the (relaxed) instance. The choice vector can differ
+// from Solve's only when distinct optimal assignments tie at the exact
+// minimum energy (then the escalated attempts may return the table-guided
+// representative).
 //
 // After the buffers have grown to the largest instance seen, a solve
 // performs no allocation at all, which is what lets the Oracle policy solve
@@ -46,7 +47,14 @@ import (
 // A Solver is not safe for concurrent use: it belongs to one scheduler
 // instance, exactly like the optimizer's reusable problem buffers.
 type Solver struct {
-	// Prep scratch, mirroring prepare's per-item arrays.
+	// Prep scratch, filled by prepare: per-item minima over the choice set;
+	// the relaxed deadlines (the original deadline, or the earliest
+	// achievable finish time when even maximum performance misses it, so
+	// the search space is never empty); latestFinish[i], the latest finish
+	// time from which every remaining deadline is still reachable at
+	// minimum latencies (a partial schedule is extensible iff finish(i) <=
+	// latestFinish[i]); and sufEnergy[i], the deadline-ignoring energy
+	// lower bound of the suffix starting at item i.
 	minLat       []simtime.Duration
 	minEnergy    []float64
 	deadlines    []simtime.Time
@@ -136,8 +144,8 @@ func (s *Solver) grow(n int) {
 	s.finish = s.finish[:n]
 }
 
-// prepare fills the prep arrays (the logic of prepare, on scratch) and
-// returns whether the original deadlines are all reachable.
+// prepare fills the prep scratch for a non-empty problem and returns
+// whether the original deadlines are all reachable.
 func (s *Solver) prepare(p Problem) bool {
 	n := len(p.Items)
 	s.earliestArr[0] = p.Start
@@ -185,8 +193,13 @@ func (s *Solver) prepare(p Problem) bool {
 
 // flatten builds the flattened Pareto-frontier tables: each item's choices
 // are index-sorted by ascending energy (stable insertion sort — zero-alloc,
-// and the item sets are at most a platform ladder long), then reduced to the
-// strictly-faster-than-anything-cheaper frontier exactly as frontiers does.
+// and the item sets are at most a platform ladder long), then reduced to
+// their energy/latency Pareto frontier: walking in ascending-energy order, a
+// choice is kept only if it is strictly faster than every choice kept before
+// it. A pruned choice is dominated by an earlier-ordered keeper (no more
+// energy, no more latency): substituting the keeper in any feasible
+// assignment stays feasible at no more energy, and that assignment is
+// visited first, so pruning never changes the first optimal leaf found.
 func (s *Solver) flatten(p Problem) {
 	s.frontLat = s.frontLat[:0]
 	s.frontEnergy = s.frontEnergy[:0]
@@ -243,8 +256,14 @@ func (s *Solver) firstFeasible(lo, hi int, budget simtime.Duration) int {
 	return lo
 }
 
-// greedyInto runs the deadline-aware greedy of greedy() writing the choices
-// into s.best, and returns the incumbent energy.
+// greedyInto runs the deadline-aware greedy heuristic on the prep scratch —
+// for each item in order, the lowest-energy choice that keeps the current
+// and all future (relaxed) deadlines reachable, the future test being the
+// O(1) latestFinish comparison — writing the choices into s.best, and
+// returns their energy. It always succeeds because the deadlines have been
+// relaxed to the max-performance schedule. Choices are scanned in input
+// order with strict-improvement updates, matching the reference greedy's
+// tie-breaking exactly.
 func (s *Solver) greedyInto(p Problem) float64 {
 	total := 0.0
 	now := p.Start
@@ -265,6 +284,8 @@ func (s *Solver) greedyInto(p Problem) float64 {
 			}
 		}
 		if bestJ == -1 {
+			// Should not happen after relaxation, but fall back to the
+			// fastest choice defensively.
 			for j, c := range it.Choices {
 				if bestJ == -1 || c.Latency < it.Choices[bestJ].Latency {
 					bestJ = j
@@ -425,13 +446,17 @@ func (s *Solver) guidedInto(p Problem, bestEnergy float64) float64 {
 	return bestEnergy
 }
 
-// Solve computes a minimum-energy assignment over the same relaxed deadline
-// semantics as the package-level Solve. Whenever the search completes
+// Solve computes a minimum-energy assignment subject to the chain deadline
+// constraints. It always returns a complete assignment: when the original
+// deadlines cannot all be met even at maximum performance, the deadlines are
+// relaxed to the earliest achievable finish times (the infeasible events run
+// as fast as possible) and Feasible is false. Whenever the search completes
 // (Aborted() false — in practice every optimizer-shaped instance) the
 // returned energy is the exact optimum; see the type comment for when the
-// representative choice vector can differ from Solve's. The returned
-// Assignment's Choice and Finish slices alias the Solver's scratch and are
-// valid only until the next Solve call — callers that retain them must copy.
+// representative choice vector can differ from the test oracle Solve's. The
+// returned Assignment's Choice and Finish slices alias the Solver's scratch
+// and are valid only until the next Solve call — callers that retain them
+// must copy.
 func (s *Solver) Solve(p Problem) Assignment {
 	n := len(p.Items)
 	if n == 0 {
@@ -456,24 +481,7 @@ func (s *Solver) Solve(p Problem) Assignment {
 		}
 	}
 
-	// Materialize onto scratch (the logic of materialize, allocation-free).
-	now := p.Start
-	total := 0.0
-	for i := range p.Items {
-		if len(p.Items[i].Choices) > 0 {
-			c := p.Items[i].Choices[s.best[i]]
-			now = now.Add(c.Latency)
-			total += c.Energy
-		}
-		s.finish[i] = now
-	}
-	return Assignment{
-		Choice:      s.best,
-		TotalEnergy: total,
-		Feasible:    feasible,
-		Finish:      s.finish,
-		Nodes:       nodes,
-	}
+	return materialize(p, s.best, s.finish, feasible, nodes)
 }
 
 // search runs one iterative depth-first attempt: Solve's traversal order and

@@ -7,13 +7,18 @@ import (
 	"repro/internal/simtime"
 )
 
+// This file holds the package's test oracles: the recursive searches that
+// production code no longer runs, kept so the equivalence tests can pin
+// Solver and SolveReferenceOrder against them. Being exported from a
+// _test.go file, they are also visible to the external ilp_test package.
+
 // SolveReference is the pre-overhaul exact solver, kept verbatim as the
 // behavioural baseline: a branch-and-bound over the full per-item choice
 // sets whose future-feasibility test walks the remaining items at every
 // node. It returns the same assignment as Solve (property-tested in
 // equivalence_test.go) while exploring strictly more nodes on non-trivial
-// instances; the solver microbenchmarks in cmd/pes-bench report the ratio.
-// New code should call Solve.
+// instances. SolveReferenceOrder reproduces it bit for bit, node counts
+// included, which is what cmd/pes-bench times as its reference.
 func SolveReference(p Problem) Assignment {
 	n := len(p.Items)
 	if n == 0 {
@@ -136,7 +141,7 @@ func SolveReference(p Problem) Assignment {
 	}
 	dfs(0, p.Start, 0)
 
-	return materialize(p, best, feasible, nodes)
+	return materialize(p, best, make([]simtime.Time, n), feasible, nodes)
 }
 
 // referenceGreedy is the pre-overhaul greedy: for each item in order, the
@@ -192,4 +197,102 @@ func referenceGreedy(p Problem, deadlines []simtime.Time, sufLat []simtime.Durat
 		now = now.Add(bestLat)
 	}
 	return choice, total
+}
+
+// frontiers reduces each item's energy-ordered candidate list to its
+// energy/latency Pareto frontier: walking in ascending-energy order, a
+// choice is kept only if it is strictly faster than every choice kept before
+// it. A pruned choice j is dominated by an earlier-ordered keeper k
+// (energy(k) <= energy(j), latency(k) <= latency(j)): substituting k for j
+// in any feasible assignment stays feasible at no more energy, and the
+// substituted assignment is visited first, so no dominated choice can appear
+// in the first optimal leaf the search finds — pruning never changes the
+// returned assignment. The kept lists have strictly descending latency,
+// which feasibleFrom exploits.
+func frontiers(p Problem, order [][]int) [][]int {
+	front := make([][]int, len(p.Items))
+	for i, it := range p.Items {
+		kept := order[i][:0] // reuse the order backing array; order is not used afterwards
+		var minLat simtime.Duration
+		for _, j := range order[i] {
+			if len(kept) == 0 || it.Choices[j].Latency < minLat {
+				kept = append(kept, j)
+				minLat = it.Choices[j].Latency
+			}
+		}
+		front[i] = kept
+	}
+	return front
+}
+
+// feasibleFrom returns the index of the first frontier candidate whose
+// latency fits the budget. Frontier latencies are strictly descending, so
+// the infeasible candidates form a prefix and binary search finds the cut
+// without visiting them.
+func feasibleFrom(choices []Choice, frontier []int, budget simtime.Duration) int {
+	return sort.Search(len(frontier), func(k int) bool {
+		return choices[frontier[k]].Latency <= budget
+	})
+}
+
+// Solve is the recursive form of Solver's attempt 0: the exact
+// branch-and-bound with dominance pruning, memoized suffix latencies and
+// frontier bisection, over the same relaxed deadline semantics. Its
+// assignment (including tie-breaking among equal-energy optima) is
+// identical to SolveReference's whenever neither search aborts on the node
+// budget, and Solver's matches it bit for bit on every instance its first
+// attempt completes.
+func Solve(p Problem) Assignment {
+	n := len(p.Items)
+	if n == 0 {
+		return Assignment{Feasible: true}
+	}
+	s, feasible := prepared(p)
+	front := frontiers(p, energyOrder(p))
+	bestEnergy := s.greedyInto(p)
+	best, cur := s.best, s.cur
+
+	nodes := 0
+	var dfs func(i int, now simtime.Time, energy float64) bool
+	dfs = func(i int, now simtime.Time, energy float64) bool {
+		if nodes >= maxNodes {
+			return true // abort the search, keep the best found so far
+		}
+		if i == n {
+			if energy < bestEnergy {
+				bestEnergy = energy
+				copy(best, cur)
+			}
+			return false
+		}
+		if energy+s.sufEnergy[i] >= bestEnergy {
+			return false
+		}
+		it := p.Items[i]
+		if len(it.Choices) == 0 {
+			cur[i] = 0
+			return dfs(i+1, now, energy)
+		}
+		f := front[i]
+		for _, j := range f[feasibleFrom(it.Choices, f, s.latestFinish[i].Sub(now)):] {
+			c := it.Choices[j]
+			// The frontier ascends in energy, so once this candidate's
+			// energy lower bound reaches the incumbent no later candidate
+			// can beat it either: stop scanning. The skipped subtrees are
+			// exactly the ones the recursive bound check would reject on
+			// entry, so the returned assignment is unchanged.
+			if energy+c.Energy+s.sufEnergy[i+1] >= bestEnergy {
+				break
+			}
+			nodes++
+			cur[i] = j
+			if dfs(i+1, now.Add(c.Latency), energy+c.Energy) {
+				return true
+			}
+		}
+		return false
+	}
+	dfs(0, p.Start, 0)
+
+	return materialize(p, best, make([]simtime.Time, n), feasible, nodes)
 }

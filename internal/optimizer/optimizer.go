@@ -8,10 +8,8 @@ package optimizer
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/acmp"
-	"repro/internal/ilp"
 	"repro/internal/render"
 	"repro/internal/simtime"
 	"repro/internal/webevent"
@@ -89,10 +87,6 @@ func (c *CostModel) Observe(sig webevent.Signature, cfg acmp.Config, execLatency
 	c.obs[sig] = pts
 	c.rev++
 }
-
-// Observations returns how many latency samples the model holds for the
-// signature.
-func (c *CostModel) Observations(sig webevent.Signature) int { return len(c.obs[sig]) }
 
 // Estimate returns the estimated workload for the signature and whether the
 // estimate comes from measurements (true) or from the per-interaction
@@ -173,29 +167,38 @@ func (c *CostModel) PredictLatency(sig webevent.Signature, cfg acmp.Config) simt
 	return c.platform.Latency(w, cfg)
 }
 
-// PickMinEnergyConfig returns the minimum-energy configuration whose
-// predicted latency meets the deadline when execution starts at start; when
-// no configuration can meet the deadline (a Type I event or a very late
-// start) the maximum-performance configuration is returned. This is the
-// per-event decision rule of the reactive EBS scheduler. The deadline is
-// tightened by the display-submission margin so that frames also reach the
-// screen in time.
+// PickMinEnergyConfig is MinEnergyConfig over the cost model's latency
+// estimates for the signature: the per-event decision rule of the reactive
+// EBS scheduler, and of PES while speculation is disabled.
 func (c *CostModel) PickMinEnergyConfig(sig webevent.Signature, start simtime.Time, deadline simtime.Time) acmp.Config {
+	return MinEnergyConfig(c.platform, start, deadline, func(cfg acmp.Config) simtime.Duration {
+		return c.PredictLatency(sig, cfg)
+	})
+}
+
+// MinEnergyConfig returns the minimum-energy configuration whose latency
+// meets the deadline when execution starts at start; when no configuration
+// can meet the deadline (a Type I event or a very late start) the
+// maximum-performance configuration is returned. The deadline is tightened
+// by the display-submission margin so that frames also reach the screen in
+// time. latency is the event's latency under a configuration: a cost-model
+// estimate for EBS and PES, the exact workload for the Oracle.
+func MinEnergyConfig(p *acmp.Platform, start, deadline simtime.Time, latency func(acmp.Config) simtime.Duration) acmp.Config {
 	budget := deadline.Sub(start) - render.DisplayMargin
 	best := acmp.Config{}
 	bestEnergy := 0.0
-	for _, cfg := range c.platform.Configs() {
-		lat := c.PredictLatency(sig, cfg)
-		if simtime.Duration(lat) > budget {
+	for _, cfg := range p.Configs() {
+		lat := latency(cfg)
+		if lat > budget {
 			continue
 		}
-		e := acmp.EnergyMJ(c.platform.Power(cfg), lat)
+		e := acmp.EnergyMJ(p.Power(cfg), lat)
 		if best.IsZero() || e < bestEnergy {
 			best, bestEnergy = cfg, e
 		}
 	}
 	if best.IsZero() {
-		return c.platform.MaxPerformance()
+		return p.MaxPerformance()
 	}
 	return best
 }
@@ -228,21 +231,22 @@ type Task struct {
 // absorbed, and the wall-clock time spent inside the solver. The counters
 // other than WallNS are fully deterministic for a deterministic simulation.
 type SolverStats struct {
-	// Solves counts ilp.Solve invocations (plan-cache misses included,
-	// cache hits excluded).
+	// Solves counts searches run (one per plan-cache miss; cache hits
+	// excluded), whichever search the scheduler solves with.
 	Solves int `json:"solves"`
 	// Nodes sums the branch-and-bound candidates explored across solves.
 	Nodes int64 `json:"nodes"`
-	// PlanCacheHits counts Schedule calls answered from the plan cache
-	// without solving.
+	// PlanCacheHits counts plans answered from the plan cache without
+	// solving.
 	PlanCacheHits int `json:"plan_cache_hits"`
 	// BudgetAborts counts solves that exhausted the branch-and-bound node
 	// budget, returning a traversal artifact instead of a proven optimum.
 	// Zero on the PES path and on Oracle v2's fast-path windows; Oracle v1's
 	// hardest windows abort by design (that is what pins its figures).
 	BudgetAborts int `json:"budget_aborts"`
-	// WallNS is the wall-clock time spent inside ilp.Solve, in nanoseconds.
-	// It is a host measurement: the one non-deterministic field.
+	// WallNS is the wall-clock time spent inside the search, in
+	// nanoseconds. It is a host measurement: the one non-deterministic
+	// field.
 	WallNS int64 `json:"wall_ns"`
 }
 
@@ -257,69 +261,48 @@ func (s SolverStats) Add(o SolverStats) SolverStats {
 	}
 }
 
-// cachedPlan is one memoized solve: the chosen indices into the platform's
-// configuration list plus the solution's feasibility verdict.
-type cachedPlan struct {
-	choice   []int
-	feasible bool
-}
-
-// maxCachedPlans bounds the plan cache between invalidations; the cache is
-// cleared wholesale whenever the cost model learns, so the bound only
-// matters for pathological no-observation workloads.
-const maxCachedPlans = 256
-
 // Optimizer assembles and solves the constrained optimization problem over
-// outstanding plus predicted events. It is incremental: solved plans are
-// memoized in a cache keyed by a fingerprint of the problem — the start
-// time and every task's (signature, deadline) — and invalidated when the
-// cost model's revision moves, so re-planning over an unchanged horizon
-// (e.g. after a correct prediction confirmed the standing plan) reuses the
-// standing assignment instead of re-solving.
+// outstanding plus predicted events, with the cost model's latency
+// estimates. It is incremental: solved plans are memoized in its Planner's
+// cache keyed by a fingerprint of the problem — the start time and every
+// task's (signature, deadline) — and invalidated when the cost model's
+// revision moves, so re-planning over an unchanged horizon (e.g. after a
+// correct prediction confirmed the standing plan) reuses the standing
+// assignment instead of re-solving.
 type Optimizer struct {
 	platform *acmp.Platform
 	cost     *CostModel
+	planner  *Planner
 
-	stats SolverStats
-
-	// plans is the plan cache; planRev is the cost-model revision its
-	// entries were computed under.
-	plans   map[string]cachedPlan
+	// planRev is the cost-model revision the plan cache was filled under;
+	// keyBuf is the reusable plan-key scratch.
 	planRev int
-
-	// Reusable solve buffers: the plan-key bytes, the problem's item list,
-	// and one flat backing array for all items' choice lists. ilp.Solve does
-	// not retain the problem, and an Optimizer belongs to one scheduler
-	// instance (single goroutine), so recycling them across solves is safe.
-	keyBuf    []byte
-	itemsBuf  []ilp.Item
-	choiceBuf []ilp.Choice
+	keyBuf  []byte
 }
 
-// New creates an optimizer using the given cost model.
+// New creates an optimizer using the given cost model. It solves with its
+// own reusable ilp.Solver.
 func New(p *acmp.Platform, cost *CostModel) *Optimizer {
-	return &Optimizer{platform: p, cost: cost, plans: make(map[string]cachedPlan)}
+	return &Optimizer{platform: p, cost: cost, planner: NewPlanner(p, nil)}
 }
 
 // Cost exposes the cost model (shared with the EBS fallback path).
 func (o *Optimizer) Cost() *CostModel { return o.cost }
 
 // Stats returns the accumulated solver statistics.
-func (o *Optimizer) Stats() SolverStats { return o.stats }
+func (o *Optimizer) Stats() SolverStats { return o.planner.Stats() }
 
 // ResetPlanCache drops every memoized plan. Benchmarks and the overhead
 // table use it to measure the raw solve path; production code never needs
 // it (the cache self-invalidates on cost-model revisions).
-func (o *Optimizer) ResetPlanCache() {
-	clear(o.plans)
-}
+func (o *Optimizer) ResetPlanCache() { o.planner.Reset() }
 
 // appendPlanKey fingerprints a Schedule call into buf. Two calls with equal
 // keys under the same cost-model revision build the identical ilp.Problem —
 // the choice set of a task is a pure function of (signature, cost model,
 // platform), and the chain constraints are a pure function of (start,
-// deadlines) — so the memoized assignment is exactly what ilp.Solve would
-// return. The key spells out the full (outstanding events + predicted
+// deadlines) — so the memoized assignment is exactly what a fresh solve
+// would return. The key spells out the full (outstanding events + predicted
 // suffix, deadlines) contents rather than hashing them, so a collision
 // cannot silently corrupt a plan. Appending into a reusable buffer keeps the
 // cache-hit fast path allocation-free (map lookup by string(buf) does not
@@ -353,61 +336,18 @@ func (o *Optimizer) Schedule(start simtime.Time, tasks []*Task) bool {
 		return true
 	}
 	if o.planRev != o.cost.rev {
-		clear(o.plans)
+		o.planner.Reset()
 		o.planRev = o.cost.rev
 	}
-	configs := o.platform.Configs()
 	o.keyBuf = appendPlanKey(o.keyBuf[:0], start, tasks)
-	if plan, ok := o.plans[string(o.keyBuf)]; ok {
-		o.stats.PlanCacheHits++
-		o.apply(tasks, plan.choice, configs)
-		return plan.feasible
-	}
-
-	// Build the problem on the reusable buffers: one Item per task, all
-	// choice lists carved out of one flat backing array.
-	nc := len(configs)
-	if cap(o.itemsBuf) < len(tasks) {
-		o.itemsBuf = make([]ilp.Item, 0, 2*len(tasks))
-	}
-	if cap(o.choiceBuf) < len(tasks)*nc {
-		o.choiceBuf = make([]ilp.Choice, 2*len(tasks)*nc)
-	}
-	prob := ilp.Problem{Start: start, Items: o.itemsBuf[:0]}
-	for ti, t := range tasks {
-		choices := o.choiceBuf[ti*nc : ti*nc : (ti+1)*nc]
-		for _, cfg := range configs {
-			lat := o.cost.PredictLatency(t.Signature, cfg)
-			choices = append(choices, ilp.Choice{
-				Latency: lat,
-				Energy:  acmp.EnergyMJ(o.platform.Power(cfg), lat),
-			})
-		}
-		prob.Items = append(prob.Items, ilp.Item{
-			Deadline: t.Deadline.Add(-render.DisplayMargin),
-			Choices:  choices,
-		})
-	}
-	begun := time.Now()
-	sol := ilp.Solve(prob)
-	o.stats.WallNS += time.Since(begun).Nanoseconds()
-	o.stats.Solves++
-	o.stats.Nodes += int64(sol.Nodes)
-	if sol.Aborted() {
-		o.stats.BudgetAborts++
-	}
-	if len(o.plans) < maxCachedPlans {
-		o.plans[string(o.keyBuf)] = cachedPlan{choice: sol.Choice, feasible: sol.Feasible}
-	}
-	o.apply(tasks, sol.Choice, configs)
-	return sol.Feasible
-}
-
-// apply installs a solve's choice indices onto the tasks.
-func (o *Optimizer) apply(tasks []*Task, choice []int, configs []acmp.Config) {
+	choice, feasible := o.planner.Plan(o.keyBuf, start, len(tasks),
+		func(i int) simtime.Time { return tasks[i].Deadline },
+		func(i int, cfg acmp.Config) simtime.Duration { return o.cost.PredictLatency(tasks[i].Signature, cfg) })
+	configs := o.platform.Configs()
 	for i, t := range tasks {
 		cfg := configs[choice[i]]
 		t.Config = cfg
 		t.EstimatedLatency = o.cost.PredictLatency(t.Signature, cfg)
 	}
+	return feasible
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/acmp"
@@ -22,7 +23,7 @@ func TestEstimateDefaultsBeforeObservations(t *testing.T) {
 	if w.Cycles <= 0 {
 		t.Error("default workload should be non-trivial")
 	}
-	if c.Observations(sig("cnn", webevent.Click)) != 0 {
+	if len(c.obs[sig("cnn", webevent.Click)]) != 0 {
 		t.Error("no observations expected")
 	}
 }
@@ -82,7 +83,7 @@ func TestObservationWindowBounded(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Observe(s, cfg, 10*simtime.Millisecond)
 	}
-	if got := c.Observations(s); got != maxObservations {
+	if got := len(c.obs[s]); got != maxObservations {
 		t.Errorf("observations = %d, want %d", got, maxObservations)
 	}
 }
@@ -213,4 +214,52 @@ func relErr(a, b float64) float64 {
 		d = -d
 	}
 	return d
+}
+
+// TestPlanCacheSurvivesSolverReuse pins the copy the plan cache takes of
+// each solve: the optimizer's ilp.Solver returns choices aliasing scratch
+// that the next solve overwrites. Solving horizon A, then a different
+// horizon B, then A again from the cache must install exactly the
+// configurations a fresh optimizer plans for A.
+func TestPlanCacheSurvivesSolverReuse(t *testing.T) {
+	p := acmp.Exynos5410()
+	horizon := func(deadlineMS ...int) []*Task {
+		var tasks []*Task
+		for i, ms := range deadlineMS {
+			typ := webevent.Click
+			if i%2 == 1 {
+				typ = webevent.Scroll
+			}
+			tasks = append(tasks, &Task{Signature: sig("cnn", typ), Type: typ,
+				Deadline: simtime.Time(ms) * simtime.Time(simtime.Millisecond)})
+		}
+		return tasks
+	}
+	configs := func(tasks []*Task) []acmp.Config {
+		out := make([]acmp.Config, len(tasks))
+		for i, t := range tasks {
+			out[i] = t.Config
+		}
+		return out
+	}
+	a := func() []*Task { return horizon(900, 1400, 2600, 3300) }
+	ref := a()
+	New(p, NewCostModel(p)).Schedule(0, ref)
+	want := configs(ref)
+
+	opt := New(p, NewCostModel(p))
+	opt.Schedule(0, a())
+	b := horizon(120, 160, 260, 330)
+	opt.Schedule(0, b)
+	if reflect.DeepEqual(configs(b), want) {
+		t.Fatal("horizons A and B plan the same configurations; the test cannot tell a stale cache")
+	}
+	again := a()
+	opt.Schedule(0, again)
+	if st := opt.Stats(); st.Solves != 2 || st.PlanCacheHits != 1 {
+		t.Fatalf("A should be re-planned from the cache: %+v", st)
+	}
+	if got := configs(again); !reflect.DeepEqual(got, want) {
+		t.Errorf("cached plan for A was overwritten by B's solve:\n got %v\nwant %v", got, want)
+	}
 }

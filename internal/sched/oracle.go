@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/acmp"
 	"repro/internal/ilp"
 	"repro/internal/optimizer"
-	"repro/internal/render"
 	"repro/internal/simtime"
 	"repro/internal/webevent"
 )
@@ -83,17 +81,6 @@ type oracleEntry struct {
 	isPending bool
 }
 
-// oraclePlan is one memoized solve: the chosen indices into the platform's
-// configuration list.
-type oraclePlan struct {
-	choice []int
-}
-
-// maxCachedOraclePlans bounds the oracle plan cache. The oracle never
-// learns, so entries stay valid for the whole session and the bound only
-// caps memory.
-const maxCachedOraclePlans = 256
-
 // Oracle is the upper-bound scheduler of the paper's evaluation: it has a
 // priori knowledge of the entire event sequence (types, trigger times and
 // workloads), never mis-predicts, and globally minimizes energy under every
@@ -103,25 +90,19 @@ type Oracle struct {
 	events   []*webevent.Event
 	version  OracleVersion
 	nextIdx  int
-	stats    optimizer.SolverStats
 
-	// solver is the reusable v2 fast-path solver (nil under v1).
-	solver *ilp.Solver
+	// planner solves and memoizes windows with the version's search; the
+	// oracle never learns, so its plans stay valid for the whole session.
+	// keyBuf is the reusable plan-key scratch.
+	planner *optimizer.Planner
+	keyBuf  []byte
 
-	// plans memoizes solved windows by (start, per-event workload and
-	// deadline); keyBuf is the reusable key scratch.
-	plans  map[string]oraclePlan
-	keyBuf []byte
-
-	// Reusable plan-building buffers: the window's entries, the problem's
-	// item list with one flat backing array for every item's choices, and
-	// the returned task list (consumed synchronously by the engine's
-	// adoptPlan, which copies the values). Recycling them makes Plan calls
-	// allocation-free in the steady state for both versions.
-	entries   []oracleEntry
-	itemsBuf  []ilp.Item
-	choiceBuf []ilp.Choice
-	out       []SpecTask
+	// Reusable plan-building buffers: the window's entries and the returned
+	// task list (consumed synchronously by the engine's adoptPlan, which
+	// copies the values). Recycling them makes Plan calls allocation-free
+	// in the steady state for both versions.
+	entries []oracleEntry
+	out     []SpecTask
 }
 
 // NewOracle creates an oracle for a specific trace at the default version.
@@ -136,11 +117,18 @@ func NewOracleWithVersion(p *acmp.Platform, events []*webevent.Event, v OracleVe
 		platform: p,
 		events:   events,
 		version:  v.OrDefault(),
-		plans:    make(map[string]oraclePlan),
 	}
-	if o.version == OracleV2 {
-		o.solver = ilp.NewSolver()
+	var solve func(ilp.Problem) ilp.Assignment // nil: the planner's ilp.Solver
+	if o.version == OracleV1 {
+		// v1 keeps the reference-order solver: its figures are an upper-bound
+		// baseline produced under the reference search budget, and its
+		// hardest 12-item windows exhaust that budget, so the returned
+		// assignment depends on the traversal itself. SolveReferenceOrder
+		// pins the traversal (bit-identical assignments and node counts)
+		// while doing each feasibility test in O(1).
+		solve = ilp.SolveReferenceOrder
 	}
+	o.planner = optimizer.NewPlanner(p, solve)
 	return o
 }
 
@@ -199,16 +187,12 @@ func (o *Oracle) Plan(start simtime.Time, outstanding []*webevent.Event) []SpecT
 		return nil
 	}
 
-	configs := o.platform.Configs()
 	o.keyBuf = appendOraclePlanKey(o.keyBuf[:0], start, entries)
-	var choice []int
-	if plan, ok := o.plans[string(o.keyBuf)]; ok {
-		o.stats.PlanCacheHits++
-		choice = plan.choice
-	} else {
-		choice = o.solve(start, entries, configs)
-	}
+	choice, _ := o.planner.Plan(o.keyBuf, start, len(entries),
+		func(i int) simtime.Time { return entries[i].ev.Deadline() },
+		func(i int, cfg acmp.Config) simtime.Duration { return o.platform.Latency(entries[i].ev.Work, cfg) })
 
+	configs := o.platform.Configs()
 	out := o.out[:0]
 	for i, en := range entries {
 		cfg := configs[choice[i]]
@@ -228,83 +212,13 @@ func (o *Oracle) Plan(start simtime.Time, outstanding []*webevent.Event) []SpecT
 	return out
 }
 
-// solve runs the version-selected solver over the window and memoizes the
-// result. The returned choice slice is owned by the plan cache.
-func (o *Oracle) solve(start simtime.Time, entries []oracleEntry, configs []acmp.Config) []int {
-	// Build the problem on the reusable buffers: one Item per entry, all
-	// choice lists carved out of one flat backing array.
-	nc := len(configs)
-	if cap(o.itemsBuf) < len(entries) {
-		o.itemsBuf = make([]ilp.Item, 0, 2*len(entries))
-	}
-	if cap(o.choiceBuf) < len(entries)*nc {
-		o.choiceBuf = make([]ilp.Choice, 2*len(entries)*nc)
-	}
-	prob := ilp.Problem{Start: start, Items: o.itemsBuf[:0]}
-	for ei, en := range entries {
-		choices := o.choiceBuf[ei*nc : ei*nc : (ei+1)*nc]
-		for _, cfg := range configs {
-			lat := o.platform.Latency(en.ev.Work, cfg)
-			choices = append(choices, ilp.Choice{
-				Latency: lat,
-				Energy:  acmp.EnergyMJ(o.platform.Power(cfg), lat),
-			})
-		}
-		prob.Items = append(prob.Items, ilp.Item{
-			Deadline: en.ev.Deadline().Add(-render.DisplayMargin),
-			Choices:  choices,
-		})
-	}
-
-	var sol ilp.Assignment
-	begun := time.Now()
-	if o.version == OracleV1 {
-		// v1 keeps the reference-order solver: its figures are an upper-bound
-		// baseline produced under the reference search budget, and its
-		// hardest 12-item windows exhaust that budget, so the returned
-		// assignment depends on the traversal itself. SolveReferenceOrder
-		// pins the traversal (bit-identical assignments and node counts)
-		// while doing each feasibility test in O(1).
-		sol = ilp.SolveReferenceOrder(prob)
-	} else {
-		sol = o.solver.Solve(prob)
-	}
-	o.stats.WallNS += time.Since(begun).Nanoseconds()
-	o.stats.Solves++
-	o.stats.Nodes += int64(sol.Nodes)
-	if sol.Aborted() {
-		o.stats.BudgetAborts++
-	}
-
-	// The v2 solver's Choice aliases its scratch; copy before retaining.
-	choice := append([]int(nil), sol.Choice...)
-	if len(o.plans) < maxCachedOraclePlans {
-		o.plans[string(o.keyBuf)] = oraclePlan{choice: choice}
-	}
-	return choice
-}
-
 // ReactiveConfig implements ProactivePolicy: with perfect workload knowledge
 // the oracle picks the true minimum-energy configuration meeting the
 // deadline.
 func (o *Oracle) ReactiveConfig(e *webevent.Event, start simtime.Time) acmp.Config {
-	budget := e.Deadline().Sub(start) - render.DisplayMargin
-	best := acmp.Config{}
-	bestEnergy := 0.0
-	for _, cfg := range o.platform.Configs() {
-		lat := o.platform.Latency(e.Work, cfg)
-		if lat > budget {
-			continue
-		}
-		en := acmp.EnergyMJ(o.platform.Power(cfg), lat)
-		if best.IsZero() || en < bestEnergy {
-			best, bestEnergy = cfg, en
-		}
-	}
-	if best.IsZero() {
-		return o.platform.MaxPerformance()
-	}
-	return best
+	return optimizer.MinEnergyConfig(o.platform, start, e.Deadline(), func(cfg acmp.Config) simtime.Duration {
+		return o.platform.Latency(e.Work, cfg)
+	})
 }
 
 // ObserveExecution implements ProactivePolicy (the oracle needs no cost
@@ -326,7 +240,7 @@ func (o *Oracle) OnReactiveEvent() {}
 func (o *Oracle) SpeculationEnabled() bool { return true }
 
 // SolverStats implements SolverStatsProvider.
-func (o *Oracle) SolverStats() optimizer.SolverStats { return o.stats }
+func (o *Oracle) SolverStats() optimizer.SolverStats { return o.planner.Stats() }
 
 var (
 	_ ProactivePolicy     = (*Oracle)(nil)

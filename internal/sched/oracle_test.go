@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/acmp"
@@ -157,5 +158,38 @@ func TestOraclePlanSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Plan allocates %.1f times per cycle", avg)
+	}
+}
+
+// TestOraclePlanCacheSurvivesSolverReuse pins the copy the plan cache takes
+// of each v2 solve: ilp.Solver returns choices aliasing scratch that the
+// next solve overwrites. Planning window A, then a different window B, then
+// A again from the cache must return exactly the configurations a fresh
+// oracle plans for A.
+func TestOraclePlanCacheSurvivesSolverReuse(t *testing.T) {
+	p := acmp.Exynos5410()
+	evs := oracleTrace(6)
+	startA := simtime.Time(0)
+	startB := simtime.Time(250 * simtime.Millisecond)
+	configs := func(tasks []SpecTask) []acmp.Config {
+		out := make([]acmp.Config, len(tasks))
+		for i, task := range tasks {
+			out[i] = task.Config
+		}
+		return out
+	}
+	want := configs(NewOracleWithVersion(p, evs, OracleV2).Plan(startA, nil))
+
+	o := NewOracleWithVersion(p, evs, OracleV2)
+	o.Plan(startA, nil)
+	if b := configs(o.Plan(startB, nil)); reflect.DeepEqual(b, want) {
+		t.Fatal("windows A and B plan the same configurations; the test cannot tell a stale cache")
+	}
+	got := configs(o.Plan(startA, nil))
+	if st := o.SolverStats(); st.Solves != 2 || st.PlanCacheHits != 1 {
+		t.Fatalf("A should be re-planned from the cache: %+v", st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cached plan for A was overwritten by B's solve:\n got %v\nwant %v", got, want)
 	}
 }
