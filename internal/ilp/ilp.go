@@ -88,14 +88,26 @@ func (a Assignment) Aborted() bool { return a.Nodes >= maxNodes }
 // stands. With ≤ ~16 items and 17 configurations the bound is generous.
 const maxNodes = 400000
 
-// prepared returns a fresh Solver whose per-item scratch holds the shared
-// solve state of a non-empty problem — per-item minima, relaxed deadlines,
-// latest admissible finish times and suffix energy bounds — and whether the
-// original deadlines were all reachable. The one-shot searches below run on
-// it, so every search shares a single implementation of that state.
-func prepared(p Problem) (*Solver, bool) {
-	s := NewSolver()
-	s.grow(len(p.Items))
+// prepared returns a Solver holding only the prep and greedy scratch of a
+// non-empty problem — per-item minima, relaxed deadlines, latest admissible
+// finish times, suffix energy bounds and the current/best assignment
+// vectors — filled by Solver.prepare, and whether the original deadlines
+// were all reachable. The one-shot searches below run on it, so every search
+// shares a single implementation of that state, while the frontier, grid
+// and stack tables that only Solver.Solve uses stay unallocated.
+func prepared(p Problem) (Solver, bool) {
+	n := len(p.Items)
+	assign := make([]int, 2*n)
+	s := Solver{
+		minLat:       make([]simtime.Duration, n),
+		minEnergy:    make([]float64, n),
+		deadlines:    make([]simtime.Time, n),
+		latestFinish: make([]simtime.Time, n),
+		sufEnergy:    make([]float64, n+1),
+		earliestArr:  make([]simtime.Time, n+1),
+		cur:          assign[:n:n],
+		best:         assign[n:],
+	}
 	return s, s.prepare(p)
 }
 

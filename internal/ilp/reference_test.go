@@ -235,6 +235,113 @@ func feasibleFrom(choices []Choice, frontier []int, budget simtime.Duration) int
 	})
 }
 
+// solvePrep is Solve's own copy of the shared solve state — per-item
+// minima, relaxed deadlines and the memoized suffix quantities derived from
+// them — written independently of Solver.prepare, so that
+// TestFastSolverMatchesSolve compares two implementations of it rather than
+// one with itself.
+type solvePrep struct {
+	minLat    []simtime.Duration
+	minEnergy []float64
+	// deadlines are the relaxed deadlines: the original deadline, or the
+	// earliest achievable finish time when even maximum performance misses
+	// it (so the search space is never empty).
+	deadlines []simtime.Time
+	// feasible reports whether relaxation was unnecessary.
+	feasible bool
+	// latestFinish[i] = min(deadlines[i], latestFinish[i+1] - minLat[i+1]):
+	// a partial schedule is extensible iff finish(i) <= latestFinish[i].
+	latestFinish []simtime.Time
+	// sufEnergy[i] is the deadline-ignoring energy lower bound of the
+	// suffix starting at item i.
+	sufEnergy []float64
+}
+
+// prepareSolve computes Solve's solve state for a non-empty problem.
+func prepareSolve(p Problem) *solvePrep {
+	n := len(p.Items)
+	pr := &solvePrep{
+		minLat:       make([]simtime.Duration, n),
+		minEnergy:    make([]float64, n),
+		deadlines:    make([]simtime.Time, n),
+		feasible:     true,
+		latestFinish: make([]simtime.Time, n),
+		sufEnergy:    make([]float64, n+1),
+	}
+	for i, it := range p.Items {
+		if len(it.Choices) == 0 {
+			continue // a zero-cost no-op
+		}
+		pr.minLat[i] = it.Choices[0].Latency
+		pr.minEnergy[i] = it.Choices[0].Energy
+		for _, c := range it.Choices[1:] {
+			if c.Latency < pr.minLat[i] {
+				pr.minLat[i] = c.Latency
+			}
+			if c.Energy < pr.minEnergy[i] {
+				pr.minEnergy[i] = c.Energy
+			}
+		}
+	}
+	earliest := p.Start
+	for i := range p.Items {
+		earliest = earliest.Add(pr.minLat[i])
+		pr.deadlines[i] = p.Items[i].Deadline
+		if earliest.After(pr.deadlines[i]) {
+			pr.deadlines[i] = earliest
+			pr.feasible = false
+		}
+	}
+	pr.latestFinish[n-1] = pr.deadlines[n-1]
+	for i := n - 2; i >= 0; i-- {
+		pr.latestFinish[i] = pr.latestFinish[i+1].Add(-pr.minLat[i+1])
+		if pr.deadlines[i].Before(pr.latestFinish[i]) {
+			pr.latestFinish[i] = pr.deadlines[i]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		pr.sufEnergy[i] = pr.sufEnergy[i+1] + pr.minEnergy[i]
+	}
+	return pr
+}
+
+// solveGreedy is Solve's own incumbent seed: for each item in order, the
+// lowest-energy choice (first in input order on ties) whose finish keeps
+// every remaining relaxed deadline reachable, falling back to the fastest
+// choice if none does.
+func solveGreedy(p Problem, pr *solvePrep) ([]int, float64) {
+	choice := make([]int, len(p.Items))
+	total := 0.0
+	now := p.Start
+	for i, it := range p.Items {
+		if len(it.Choices) == 0 {
+			continue
+		}
+		bestJ := -1
+		bestEnergy := math.MaxFloat64
+		bestLat := simtime.Duration(0)
+		for j, c := range it.Choices {
+			if now.Add(c.Latency).After(pr.latestFinish[i]) {
+				continue
+			}
+			if c.Energy < bestEnergy {
+				bestEnergy, bestJ, bestLat = c.Energy, j, c.Latency
+			}
+		}
+		if bestJ == -1 {
+			for j, c := range it.Choices {
+				if bestJ == -1 || c.Latency < it.Choices[bestJ].Latency {
+					bestJ, bestLat, bestEnergy = j, c.Latency, c.Energy
+				}
+			}
+		}
+		choice[i] = bestJ
+		total += bestEnergy
+		now = now.Add(bestLat)
+	}
+	return choice, total
+}
+
 // Solve is the recursive form of Solver's attempt 0: the exact
 // branch-and-bound with dominance pruning, memoized suffix latencies and
 // frontier bisection, over the same relaxed deadline semantics. Its
@@ -247,10 +354,10 @@ func Solve(p Problem) Assignment {
 	if n == 0 {
 		return Assignment{Feasible: true}
 	}
-	s, feasible := prepared(p)
+	pr := prepareSolve(p)
 	front := frontiers(p, energyOrder(p))
-	bestEnergy := s.greedyInto(p)
-	best, cur := s.best, s.cur
+	best, bestEnergy := solveGreedy(p, pr)
+	cur := make([]int, n)
 
 	nodes := 0
 	var dfs func(i int, now simtime.Time, energy float64) bool
@@ -265,7 +372,7 @@ func Solve(p Problem) Assignment {
 			}
 			return false
 		}
-		if energy+s.sufEnergy[i] >= bestEnergy {
+		if energy+pr.sufEnergy[i] >= bestEnergy {
 			return false
 		}
 		it := p.Items[i]
@@ -274,14 +381,14 @@ func Solve(p Problem) Assignment {
 			return dfs(i+1, now, energy)
 		}
 		f := front[i]
-		for _, j := range f[feasibleFrom(it.Choices, f, s.latestFinish[i].Sub(now)):] {
+		for _, j := range f[feasibleFrom(it.Choices, f, pr.latestFinish[i].Sub(now)):] {
 			c := it.Choices[j]
 			// The frontier ascends in energy, so once this candidate's
 			// energy lower bound reaches the incumbent no later candidate
 			// can beat it either: stop scanning. The skipped subtrees are
 			// exactly the ones the recursive bound check would reject on
 			// entry, so the returned assignment is unchanged.
-			if energy+c.Energy+s.sufEnergy[i+1] >= bestEnergy {
+			if energy+c.Energy+pr.sufEnergy[i+1] >= bestEnergy {
 				break
 			}
 			nodes++
@@ -294,5 +401,5 @@ func Solve(p Problem) Assignment {
 	}
 	dfs(0, p.Start, 0)
 
-	return materialize(p, best, make([]simtime.Time, n), feasible, nodes)
+	return materialize(p, best, make([]simtime.Time, n), pr.feasible, nodes)
 }
