@@ -92,9 +92,10 @@ const maxNodes = 400000
 // non-empty problem — per-item minima, relaxed deadlines, latest admissible
 // finish times, suffix energy bounds and the current/best assignment
 // vectors — filled by Solver.prepare, and whether the original deadlines
-// were all reachable. The one-shot searches below run on it, so every search
-// shares a single implementation of that state, while the frontier, grid
-// and stack tables that only Solver.Solve uses stay unallocated.
+// were all reachable. The one-shot searches below run on it, so every
+// production search shares a single implementation of that state, while the
+// frontier, grid and stack tables that only Solver.Solve uses stay
+// unallocated.
 func prepared(p Problem) (Solver, bool) {
 	n := len(p.Items)
 	assign := make([]int, 2*n)
