@@ -1,7 +1,7 @@
 // Command pes-bench is the repo's performance-trajectory harness: it runs
-// the solver microbenchmark suite, representative scheduler sessions, the
-// unique-session throughput benchmark (cold vs artifact-warm, serial vs
-// parallel), and the paper-figure benchmarks, and emits one JSON report.
+// three sections — the solver microbenchmark suite, representative scheduler
+// sessions, and the unique-session throughput benchmark (cold vs
+// artifact-warm, serial vs parallel) — and emits one JSON report.
 // The committed BENCH_pr3.json and BENCH_pr4.json are the first two points
 // of that trajectory; CI re-runs the harness on every PR and fails when the
 // solver benchmarks regress more than 20% against the committed baseline or
@@ -14,7 +14,7 @@
 //
 // The solver suite is identical in quick and full mode (it is cheap and its
 // node counters must stay comparable to the committed baseline); -quick only
-// shrinks the session, throughput and figure benchmarks. Node counters are
+// shrinks the session and throughput benchmarks. Node counters are
 // fully deterministic for a given -seed; wall times are host measurements
 // and are reported but never gated on. The warm/cold throughput *ratio* is
 // gated: both sides run on the same host in the same process, so the ratio
@@ -33,6 +33,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"repro/internal/acmp"
@@ -40,7 +41,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/ilp"
 	"repro/internal/ilp/chaingen"
 	"repro/internal/obs"
@@ -48,7 +48,6 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sched"
 	"repro/internal/sessions"
-	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/webapp"
 )
@@ -57,8 +56,8 @@ import (
 type Report struct {
 	// Version tags the report layout; bump when fields change meaning.
 	Version string `json:"version"`
-	// Quick records whether the session/figure benchmarks ran at reduced
-	// scale. The solver suite is scale-independent.
+	// Quick records whether the session/throughput benchmarks ran at
+	// reduced scale. The solver suite is scale-independent.
 	Quick bool `json:"quick"`
 	// Seed is the solver-suite RNG seed; reports are only comparable at
 	// equal seeds.
@@ -75,13 +74,6 @@ type Report struct {
 	Solver        SolverReport      `json:"solver"`
 	Sessions      []SessionReport   `json:"sessions,omitempty"`
 	Throughput    *ThroughputReport `json:"throughput,omitempty"`
-	Figures       []FigureReport    `json:"figures,omitempty"`
-	// Store is the warm-start section, present only when -store was given:
-	// a fixed campaign run against the persistent store directory. The first
-	// run against an empty directory populates it (hit_rate 0); re-running
-	// the same command against the same directory must report hit_rate 1 and
-	// zero unique runs — the restart-durability claim in benchmark form.
-	Store *StoreReport `json:"store,omitempty"`
 }
 
 // HostReport identifies the toolchain and hardware context of a report.
@@ -102,34 +94,6 @@ func hostReport() HostReport {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-}
-
-// StoreReport is the persistent-store warm-start benchmark.
-type StoreReport struct {
-	Dir string `json:"dir"`
-	// WarmStart reports whether the store held records at open (i.e. this
-	// is a re-run against a populated directory); RecoveredRecords is how
-	// many it recovered from the log.
-	WarmStart        bool  `json:"warm_start"`
-	RecoveredRecords int64 `json:"recovered_records"`
-	// Sessions / UniqueRuns / StoreHits are the campaign's batch counters:
-	// every session is a distinct key, so on a warm start StoreHits equals
-	// Sessions and UniqueRuns is zero.
-	Sessions   int64   `json:"sessions"`
-	UniqueRuns int64   `json:"unique_runs"`
-	StoreHits  int64   `json:"store_hits"`
-	HitRate    float64 `json:"hit_rate"`
-	// TraceStoreHits / LearnerStoreHits count artifacts loaded from the
-	// store instead of rebuilt; a warm start skips SGD training entirely.
-	TraceStoreHits   int64 `json:"trace_store_hits"`
-	LearnerStoreHits int64 `json:"learner_store_hits"`
-	// SyncEvery echoes -store-sync and Syncs counts the fsyncs it caused —
-	// with WallMS, the durability overhead in benchmark form (compare a
-	// -store-sync run's wall time against a no-fsync run of the same dir).
-	SyncEvery int   `json:"sync_every,omitempty"`
-	Syncs     int64 `json:"syncs,omitempty"`
-	// WallMS is the campaign wall time (host measurement, not gated).
-	WallMS float64 `json:"wall_ms"`
 }
 
 // ThroughputReport is the unique-session throughput benchmark: how many
@@ -226,8 +190,9 @@ type SolverReport struct {
 	Nodes     int64   `json:"nodes"`
 	RefNodes  int64   `json:"ref_nodes"`
 	NodeRatio float64 `json:"node_ratio"`
-	// Wall-time per solve for Solver and SolveReferenceOrder (host
-	// measurements).
+	// Wall-time per solve for Solver and SolveReferenceOrder over the
+	// non-aborted instances: the median of warm passes, each pass one
+	// solver alone over the whole set (host measurements).
 	NsPerSolve    float64 `json:"ns_per_solve"`
 	RefNsPerSolve float64 `json:"ref_ns_per_solve"`
 	// EnergyMismatches counts non-aborted instances where Solver returned a
@@ -249,14 +214,6 @@ type SessionReport struct {
 	Solver    optimizer.SolverStats `json:"solver"`
 }
 
-// FigureReport is one paper-figure benchmark: the wall time to produce the
-// figure and how many sessions it simulated.
-type FigureReport struct {
-	Name     string  `json:"name"`
-	WallMS   float64 `json:"wall_ms"`
-	Sessions int64   `json:"sessions"`
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatalf("pes-bench: %v", err)
@@ -268,7 +225,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pes-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "reduced session/throughput/figure scale (solver suite is unaffected)")
+	quick := fs.Bool("quick", false, "reduced session/throughput scale (solver suite is unaffected)")
 	solverOnly := fs.Bool("solver-only", false, "run only the solver microbenchmark suite")
 	out := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	baseline := fs.String("baseline", "", "committed report to compare against (e.g. BENCH_pr4.json)")
@@ -277,8 +234,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	oracle := fs.String("oracle", "", "oracle solver version for the session/throughput benchmarks: v2 (default) or v1 (reproduces the BENCH_pr4 Oracle figures)")
-	storeDir := fs.String("store", "", "persistent store directory for the warm-start section (first run populates it; a re-run must report hit_rate 1)")
-	storeSync := fs.Int("store-sync", 0, "fsync the -store log every n record writes during the warm-start section (0 = no fsync), to measure durability overhead")
 	debugAddr := fs.String("debug-addr", "", "listen address for a live pprof/expvar debug server during the run (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -289,12 +244,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "pes-bench: debug listener: %v\n", err)
 			}
 		}()
-	}
-	if *storeSync < 0 {
-		return fmt.Errorf("-store-sync must not be negative")
-	}
-	if *storeSync > 0 && *storeDir == "" {
-		return fmt.Errorf("-store-sync requires -store")
 	}
 	oracleVer, err := sched.ParseOracleVersion(*oracle)
 	if err != nil {
@@ -328,18 +277,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		rep.Throughput = throughput
-		figures, err := benchFigures(*quick)
-		if err != nil {
-			return err
-		}
-		rep.Figures = figures
-	}
-	if *storeDir != "" {
-		storeRep, err := benchStore(*storeDir, *storeSync, oracleVer)
-		if err != nil {
-			return err
-		}
-		rep.Store = storeRep
 	}
 
 	if *memprofile != "" {
@@ -375,86 +312,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// benchStore runs the warm-start benchmark: a fixed, fully deterministic
-// campaign (2 apps x 2 seeds x every scheduler) through a batch runner and
-// artifact store layered over the persistent store at dir. All state is
-// private to the call except the store directory itself, so the section
-// measures exactly what the directory's contents buy: an empty dir pays the
-// full training+simulation cost and populates the log; re-running against
-// the populated dir trains nothing, simulates nothing, and reports
-// hit_rate 1.
-func benchStore(dir string, syncEvery int, oracleVer sched.OracleVersion) (*StoreReport, error) {
-	var opts []store.Option
-	if syncEvery > 0 {
-		opts = append(opts, store.WithSyncEvery(syncEvery))
-	}
-	ps, err := store.Open(dir, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer ps.Close()
-	atOpen := ps.Stats()
-
-	arts := artifacts.NewStore().WithPersistent(ps)
-	learner, _, err := arts.Learner(artifacts.LearnerKey{TracesPerApp: 3, CorpusSeed: 400, TrainSeed: 1})
-	if err != nil {
-		return nil, err
-	}
-	platform := acmp.Exynos5410()
-	runner := batch.NewRunner(0).AttachArtifacts(arts).WithStore(ps)
-	var specs []batch.Session
-	for _, app := range []string{"cnn", "ebay"} {
-		spec, err := webapp.ByName(app)
-		if err != nil {
-			return nil, err
-		}
-		for _, seed := range []int64{21, 22} {
-			tr := arts.Trace(spec, seed, trace.PurposeEval, trace.Options{})
-			for _, schedName := range sessions.Names() {
-				sess, err := sessions.New(sessions.Spec{
-					Platform:      platform,
-					Trace:         tr,
-					Scheduler:     schedName,
-					Learner:       learner,
-					Predictor:     predictor.DefaultConfig(),
-					Artifacts:     arts,
-					OracleVersion: oracleVer,
-				})
-				if err != nil {
-					return nil, err
-				}
-				specs = append(specs, sess)
-			}
-		}
-	}
-	begun := time.Now()
-	if _, err := runner.Run(specs); err != nil {
-		return nil, err
-	}
-	wall := time.Since(begun)
-
-	st := runner.Stats()
-	rep := &StoreReport{
-		Dir:              dir,
-		WarmStart:        atOpen.Recovered > 0,
-		RecoveredRecords: atOpen.Recovered,
-		Sessions:         st.Sessions,
-		UniqueRuns:       st.UniqueRuns,
-		StoreHits:        st.StoreHits,
-		WallMS:           float64(wall.Microseconds()) / 1e3,
-	}
-	if st.Sessions > 0 {
-		rep.HitRate = float64(st.StoreHits) / float64(st.Sessions)
-	}
-	if st.Artifacts != nil {
-		rep.TraceStoreHits = st.Artifacts.TraceStoreHits
-		rep.LearnerStoreHits = st.Artifacts.LearnerStoreHits
-	}
-	rep.SyncEvery = syncEvery
-	rep.Syncs = ps.Stats().Syncs
-	return rep, nil
-}
-
 // benchSolver runs the solver microbenchmark suite: identical instances
 // through one reused ilp.Solver — the search the PES optimizer and Oracle
 // v2 run, reused across solves exactly as they reuse theirs — and the
@@ -480,20 +337,13 @@ func benchSolver(seed int64) SolverReport {
 
 	rep := SolverReport{Problems: len(problems)}
 	var gapSum float64
-	var wallNew, wallRef time.Duration
-	completed := 0
+	var completed []ilp.Problem
 	solver := ilp.NewSolver()
 	for _, p := range problems {
 		// a aliases the solver's scratch, which stays untouched until the
 		// next iteration's Solve.
-		begun := time.Now()
 		a := solver.Solve(p)
-		dNew := time.Since(begun)
-
-		begun = time.Now()
 		r := ilp.SolveReferenceOrder(p)
-		dRef := time.Since(begun)
-
 		if a.Aborted() || r.Aborted() {
 			// A search that exhausted its budget measures the budget, not
 			// the algorithm; count it separately and keep it out of every
@@ -501,9 +351,7 @@ func benchSolver(seed int64) SolverReport {
 			rep.Aborted++
 			continue
 		}
-		completed++
-		wallNew += dNew
-		wallRef += dRef
+		completed = append(completed, p)
 		rep.Nodes += int64(a.Nodes)
 		rep.RefNodes += int64(r.Nodes)
 		if diff := a.TotalEnergy - r.TotalEnergy; diff > 1e-9 || diff < -1e-9 {
@@ -516,13 +364,32 @@ func benchSolver(seed int64) SolverReport {
 	if rep.Nodes > 0 {
 		rep.NodeRatio = float64(rep.RefNodes) / float64(rep.Nodes)
 	}
-	if completed > 0 {
-		n := float64(completed)
-		rep.NsPerSolve = float64(wallNew.Nanoseconds()) / n
-		rep.RefNsPerSolve = float64(wallRef.Nanoseconds()) / n
-		rep.GreedyGapPct = gapSum / n
+	if n := len(completed); n > 0 {
+		rep.NsPerSolve = medianPassNs(completed, func(p ilp.Problem) { solver.Solve(p) }) / float64(n)
+		rep.RefNsPerSolve = medianPassNs(completed, func(p ilp.Problem) { ilp.SolveReferenceOrder(p) }) / float64(n)
+		rep.GreedyGapPct = gapSum / float64(n)
 	}
 	return rep
+}
+
+// solverTimingPasses is how many warm passes over the suite medianPassNs
+// times; odd, so the median is one pass.
+const solverTimingPasses = 7
+
+// medianPassNs times solverTimingPasses passes of solve over every problem,
+// after the counting pass above has warmed caches and scratch, and returns
+// the median pass in nanoseconds.
+func medianPassNs(problems []ilp.Problem, solve func(ilp.Problem)) float64 {
+	passes := make([]time.Duration, solverTimingPasses)
+	for i := range passes {
+		begun := time.Now()
+		for _, p := range problems {
+			solve(p)
+		}
+		passes[i] = time.Since(begun)
+	}
+	sort.Slice(passes, func(i, j int) bool { return passes[i] < passes[j] })
+	return float64(passes[len(passes)/2].Nanoseconds())
 }
 
 // benchSessions replays fixed-seed sessions under the solver-bearing
@@ -790,39 +657,6 @@ func benchThroughputScaled(scale throughputScale) (*ThroughputReport, error) {
 		rep.BySched = append(rep.BySched, st)
 	}
 	return rep, nil
-}
-
-// benchFigures times the paper-figure pipeline: harness setup (training +
-// corpus generation) and the headline energy/QoS figures.
-func benchFigures(quick bool) ([]FigureReport, error) {
-	cfg := experiments.DefaultConfig()
-	cfg.Parallel = 1
-	if quick {
-		cfg.TrainTracesPerApp = 2
-		cfg.EvalTracesPerApp = 1
-	}
-	begun := time.Now()
-	setup, err := experiments.NewSetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := []FigureReport{{Name: "setup", WallMS: float64(time.Since(begun).Nanoseconds()) / 1e6}}
-	for _, fig := range []struct {
-		name string
-		gen  func() (*experiments.Table, error)
-	}{{"fig11", setup.Fig11}, {"fig12", setup.Fig12}, {"fig13", setup.Fig13}} {
-		before := setup.Runner.Stats().UniqueRuns
-		begun := time.Now()
-		if _, err := fig.gen(); err != nil {
-			return nil, err
-		}
-		out = append(out, FigureReport{
-			Name:     fig.name,
-			WallMS:   float64(time.Since(begun).Nanoseconds()) / 1e6,
-			Sessions: setup.Runner.Stats().UniqueRuns - before,
-		})
-	}
-	return out, nil
 }
 
 // checkBaseline compares the current report against the committed baseline.

@@ -36,8 +36,8 @@ func TestSolverSuiteReport(t *testing.T) {
 	if rep.Solver.NodeRatio < 2 {
 		t.Errorf("node-reduction ratio %.2f is below the 2x acceptance floor", rep.Solver.NodeRatio)
 	}
-	if rep.Sessions != nil || rep.Throughput != nil || rep.Figures != nil {
-		t.Error("-solver-only must omit the session, throughput and figure benchmarks")
+	if rep.Sessions != nil || rep.Throughput != nil {
+		t.Error("-solver-only must omit the session and throughput benchmarks")
 	}
 }
 

@@ -72,8 +72,10 @@ func (c Config) Enabled() bool {
 //
 //	seed=42,fault=0.05,torn=0.02,latency=0.2,latency_max=20ms,ping=0.1,short_write=0.01,crash_after=40
 //
-// Unknown keys are an error (a typoed fault that silently injects nothing
-// would defeat the point of a chaos smoke).
+// Unknown keys are an error, and so are a probability outside [0,1] (NaN
+// included), a negative crash_after and a negative latency_max: a typoed
+// fault that silently injects nothing would defeat the point of a chaos
+// smoke.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(spec) == "" {
@@ -96,12 +98,18 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.LatencyP, err = parseProb(v)
 		case "latency_max":
 			cfg.MaxLatency, err = time.ParseDuration(v)
+			if err == nil && cfg.MaxLatency < 0 {
+				err = fmt.Errorf("negative duration %v", cfg.MaxLatency)
+			}
 		case "ping":
 			cfg.PingP, err = parseProb(v)
 		case "short_write":
 			cfg.ShortWriteP, err = parseProb(v)
 		case "crash_after":
 			cfg.CrashAfter, err = strconv.ParseInt(v, 10, 64)
+			if err == nil && cfg.CrashAfter < 0 {
+				err = fmt.Errorf("negative count %d", cfg.CrashAfter)
+			}
 		default:
 			return cfg, fmt.Errorf("chaos: unknown spec key %q", k)
 		}
@@ -117,7 +125,7 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil

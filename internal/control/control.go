@@ -23,31 +23,15 @@ type PendingFrame struct {
 // entire buffer.
 type PFB struct {
 	frames []PendingFrame
-
-	committed int
-	squashed  int
-	maxSize   int
 }
 
 // Push appends a completed speculative frame.
 func (b *PFB) Push(typ webevent.Type, f *render.Frame) {
 	b.frames = append(b.frames, PendingFrame{Type: typ, Frame: f})
-	if len(b.frames) > b.maxSize {
-		b.maxSize = len(b.frames)
-	}
 }
 
 // Size returns the current number of pending frames.
 func (b *PFB) Size() int { return len(b.frames) }
-
-// MaxSize returns the high-water mark of the buffer.
-func (b *PFB) MaxSize() int { return b.maxSize }
-
-// Committed and Squashed return lifetime counters.
-func (b *PFB) Committed() int { return b.committed }
-
-// Squashed returns how many frames have been dropped by squashes.
-func (b *PFB) Squashed() int { return b.squashed }
 
 // Head returns the oldest pending frame without removing it.
 func (b *PFB) Head() (PendingFrame, bool) {
@@ -65,7 +49,6 @@ func (b *PFB) Commit() (PendingFrame, bool) {
 	}
 	f := b.frames[0]
 	b.frames = b.frames[1:]
-	b.committed++
 	return f, true
 }
 
@@ -76,7 +59,6 @@ func (b *PFB) Squash() (dropped int, wasted simtime.Duration) {
 		wasted += pf.Frame.ProductionTime()
 	}
 	dropped = len(b.frames)
-	b.squashed += dropped
 	b.frames = b.frames[:0]
 	return dropped, wasted
 }
@@ -96,7 +78,6 @@ type Fallback struct {
 	consecutive   int
 	disabled      bool
 	reactiveCount int
-	disabledTotal int
 }
 
 // NewFallback returns a Fallback with the paper's defaults.
@@ -105,16 +86,12 @@ func NewFallback() *Fallback { return &Fallback{Threshold: 3, RearmAfter: 10} }
 // Enabled reports whether speculation is currently allowed.
 func (f *Fallback) Enabled() bool { return !f.disabled }
 
-// Disabled returns how many times speculation has been disabled in total.
-func (f *Fallback) Disabled() int { return f.disabledTotal }
-
 // OnMisprediction records a mis-prediction; it returns true when this
 // mis-prediction crosses the threshold and disables speculation.
 func (f *Fallback) OnMisprediction() bool {
 	f.consecutive++
 	if !f.disabled && f.consecutive > f.Threshold {
 		f.disabled = true
-		f.disabledTotal++
 		f.reactiveCount = 0
 		return true
 	}

@@ -57,7 +57,7 @@ func TestPESPlanProducesCoordinatedSchedule(t *testing.T) {
 			t.Error("expected triggers must not decrease")
 		}
 	}
-	if p.Predictor() == nil || p.Optimizer() == nil {
+	if p.pred == nil || p.Optimizer() == nil {
 		t.Error("accessors should expose components")
 	}
 }

@@ -206,13 +206,6 @@ func (t *Tree) inViewport(n *Node) bool {
 	return n.Y < bottom && n.Y+n.Height > top
 }
 
-// Visible reports whether a node is currently visible: not hidden (directly
-// or via an ancestor) and intersecting the viewport.
-func (t *Tree) Visible(id NodeID) bool {
-	n := t.Node(id)
-	return !t.effectiveHidden(n) && t.inViewport(n)
-}
-
 // VisibleNodes returns the IDs of all currently visible nodes in ID order.
 func (t *Tree) VisibleNodes() []NodeID {
 	var out []NodeID

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,26 +71,26 @@ func TestTreeBasics(t *testing.T) {
 
 func TestVisibility(t *testing.T) {
 	tree, ids := buildTestPage()
-	if !tree.Visible(ids["link"]) {
+	if !slices.Contains(tree.VisibleNodes(), ids["link"]) {
 		t.Error("above-the-fold link should be visible")
 	}
-	if tree.Visible(ids["deep-link"]) {
+	if slices.Contains(tree.VisibleNodes(), ids["deep-link"]) {
 		t.Error("below-the-fold link should not be visible")
 	}
-	if tree.Visible(ids["item1"]) {
+	if slices.Contains(tree.VisibleNodes(), ids["item1"]) {
 		t.Error("item inside a hidden menu should not be visible")
 	}
 	// Unhide the menu: items become visible.
 	tree.Node(ids["menu"]).Hidden = false
-	if !tree.Visible(ids["item1"]) {
+	if !slices.Contains(tree.VisibleNodes(), ids["item1"]) {
 		t.Error("menu item should be visible after the menu is shown")
 	}
 	// Scroll to the bottom: deep link becomes visible, top link does not.
 	tree.Scroll(2200)
-	if !tree.Visible(ids["deep-link"]) {
+	if !slices.Contains(tree.VisibleNodes(), ids["deep-link"]) {
 		t.Error("deep link should be visible after scrolling down")
 	}
-	if tree.Visible(ids["link"]) {
+	if slices.Contains(tree.VisibleNodes(), ids["link"]) {
 		t.Error("top link should have scrolled out of the viewport")
 	}
 }

@@ -99,7 +99,7 @@ func NewSolver() *Solver { return &Solver{} }
 
 // Escalation schedule: attempt 0 is the pure pruned search; attempts 1 and 2
 // add the grid bound at increasing resolution. Node caps are cumulative
-// shares of the shared maxNodes budget (50k + 100k + 250k = maxNodes), so an
+// shares of the shared maxNodes budget (10k + 40k + 350k = maxNodes), so an
 // instance that defeats every attempt reports the same abort condition as
 // the recursive solvers: Nodes >= maxNodes.
 var (

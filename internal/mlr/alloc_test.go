@@ -7,8 +7,8 @@ import (
 
 // TestBufferedPredictionZeroAlloc is the CI allocation gate of the buffered
 // evaluation path: with a caller-provided probability buffer of sufficient
-// capacity, ProbabilitiesInto, PredictBuf and PredictRestrictedBuf must not
-// allocate. These are the per-predicted-event calls of the PES predictor.
+// capacity, ProbabilitiesInto and PredictRestrictedBuf (restricted or not)
+// must not allocate. These are the per-predicted-event calls of the PES predictor.
 func TestBufferedPredictionZeroAlloc(t *testing.T) {
 	m := NewModel(3, 4)
 	if err := m.Fit(synthSamples(500, 1), TrainConfig{}); err != nil {
@@ -26,11 +26,11 @@ func TestBufferedPredictionZeroAlloc(t *testing.T) {
 		t.Errorf("ProbabilitiesInto allocates %.1f objects per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := m.PredictBuf(buf, x); err != nil {
+		if _, _, _, err := m.PredictRestrictedBuf(buf, x, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("PredictBuf allocates %.1f objects per call, want 0", avg)
+		t.Errorf("unrestricted PredictRestrictedBuf allocates %.1f objects per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, _, _, err := m.PredictRestrictedBuf(buf, x, allowed); err != nil {
@@ -41,8 +41,9 @@ func TestBufferedPredictionZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBufferedMatchesUnbuffered pins the buffered variants to the original
-// allocating APIs: same probabilities, same class, same confidence.
+// TestBufferedMatchesUnbuffered pins the reused-buffer calls to the
+// nil-buffer (allocating) calls: same probabilities, same class, same
+// confidence.
 func TestBufferedMatchesUnbuffered(t *testing.T) {
 	m := NewModel(3, 4)
 	if err := m.Fit(synthSamples(500, 1), TrainConfig{}); err != nil {
@@ -50,7 +51,7 @@ func TestBufferedMatchesUnbuffered(t *testing.T) {
 	}
 	buf := make([]float64, m.NumClasses)
 	for _, x := range [][]float64{{0.2, 0.7, 0.1}, {0.9, 0.05, 0.05}, {0, 0, 1}} {
-		want, err := m.Probabilities(x)
+		want, err := m.ProbabilitiesInto(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestBufferedMatchesUnbuffered(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("ProbabilitiesInto(%v) = %v, want %v", x, got, want)
 		}
-		wc, wp, err := m.PredictRestricted(x, []int{1, 3})
+		wc, wp, _, err := m.PredictRestrictedBuf(nil, x, []int{1, 3})
 		if err != nil {
 			t.Fatal(err)
 		}

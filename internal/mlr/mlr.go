@@ -74,15 +74,10 @@ func (m *Model) score(c int, x []float64) float64 {
 	return sigmoid(z)
 }
 
-// Probabilities returns the per-class probabilities for the feature vector,
-// normalized to sum to 1 across classes.
-func (m *Model) Probabilities(x []float64) ([]float64, error) {
-	return m.ProbabilitiesInto(nil, x)
-}
-
-// ProbabilitiesInto is Probabilities with a caller-provided buffer: the
-// probabilities are written into dst when its capacity suffices (making the
-// evaluation allocation-free) and the result slice is returned either way.
+// ProbabilitiesInto returns the per-class probabilities for the feature
+// vector, normalized to sum to 1 across classes. They are written into dst
+// when its capacity suffices (making the evaluation allocation-free; a nil
+// dst allocates) and the result slice is returned either way.
 // This is the per-predicted-event fast path; each predictor instance owns
 // one buffer and reuses it across evaluations.
 func (m *Model) ProbabilitiesInto(dst, x []float64) ([]float64, error) {
@@ -114,41 +109,11 @@ func (m *Model) ProbabilitiesInto(dst, x []float64) ([]float64, error) {
 	return probs, nil
 }
 
-// Predict returns the most probable class and its (normalized) probability,
-// which the event sequence learner uses as the prediction confidence.
-func (m *Model) Predict(x []float64) (class int, confidence float64, err error) {
-	class, confidence, _, err = m.PredictBuf(nil, x)
-	return class, confidence, err
-}
-
-// PredictBuf is Predict with a caller-provided probability buffer (see
-// ProbabilitiesInto). It additionally returns the (possibly grown) buffer so
-// the caller can keep it for the next evaluation.
-func (m *Model) PredictBuf(buf, x []float64) (class int, confidence float64, probs []float64, err error) {
-	probs, err = m.ProbabilitiesInto(buf, x)
-	if err != nil {
-		return 0, 0, buf, err
-	}
-	best := 0
-	for c, p := range probs {
-		if p > probs[best] {
-			best = c
-		}
-	}
-	return best, probs[best], probs, nil
-}
-
-// PredictRestricted returns the most probable class among the allowed set
+// PredictRestrictedBuf returns the most probable class among the allowed set
 // (the Likely-Next-Event-Set); confidence is renormalized over the allowed
-// classes. When allowed is empty the full class set is used.
-func (m *Model) PredictRestricted(x []float64, allowed []int) (class int, confidence float64, err error) {
-	class, confidence, _, err = m.PredictRestrictedBuf(nil, x, allowed)
-	return class, confidence, err
-}
-
-// PredictRestrictedBuf is PredictRestricted with a caller-provided
-// probability buffer (see ProbabilitiesInto); the (possibly grown) buffer is
-// returned for reuse.
+// classes. When allowed is empty the full class set is used. The
+// probabilities go through buf (see ProbabilitiesInto), and the (possibly
+// grown) buffer is returned for reuse.
 func (m *Model) PredictRestrictedBuf(buf, x []float64, allowed []int) (class int, confidence float64, probs []float64, err error) {
 	probs, err = m.ProbabilitiesInto(buf, x)
 	if err != nil {
@@ -255,24 +220,6 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
 		}
 	}
 	return nil
-}
-
-// Accuracy returns the top-1 accuracy of the model over the samples.
-func (m *Model) Accuracy(samples []Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, errors.New("mlr: no samples")
-	}
-	correct := 0
-	for _, s := range samples {
-		c, _, err := m.Predict(s.Features)
-		if err != nil {
-			return 0, err
-		}
-		if c == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples)), nil
 }
 
 // Save serializes the model as JSON; the paper persists its trained model to

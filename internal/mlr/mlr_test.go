@@ -33,10 +33,17 @@ func TestFitAndPredict(t *testing.T) {
 	if err := m.Fit(train, TrainConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	acc, err := m.Accuracy(test)
-	if err != nil {
-		t.Fatal(err)
+	correct := 0
+	for _, s := range test {
+		c, _, _, err := m.PredictRestrictedBuf(nil, s.Features, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == s.Label {
+			correct++
+		}
 	}
+	acc := float64(correct) / float64(len(test))
 	if acc < 0.85 {
 		t.Errorf("held-out accuracy = %.3f, want ≥ 0.85 on a near-separable problem", acc)
 	}
@@ -47,7 +54,7 @@ func TestProbabilitiesNormalized(t *testing.T) {
 	if err := m.Fit(synthSamples(500, 3), TrainConfig{Epochs: 20}); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := m.Probabilities([]float64{0.5, 0.5, 0.5})
+	probs, err := m.ProbabilitiesInto(nil, []float64{0.5, 0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +78,14 @@ func TestPredictRestricted(t *testing.T) {
 	}
 	// Pick a point that clearly belongs to class 1, then forbid class 1.
 	x := []float64{0.9, 0.1, 0.1}
-	full, _, err := m.Predict(x)
+	full, _, _, err := m.PredictRestrictedBuf(nil, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full != 1 {
 		t.Skipf("trained model classifies the probe as %d; restriction test not meaningful", full)
 	}
-	c, conf, err := m.PredictRestricted(x, []int{0, 2})
+	c, conf, _, err := m.PredictRestrictedBuf(nil, x, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +95,22 @@ func TestPredictRestricted(t *testing.T) {
 	if conf <= 0 || conf > 1 {
 		t.Errorf("restricted confidence = %v", conf)
 	}
-	// Empty restriction behaves like Predict.
-	c2, _, err := m.PredictRestricted(x, nil)
-	if err != nil || c2 != full {
-		t.Errorf("empty restriction should equal Predict: %v %v", c2, err)
+	// An empty restriction is the argmax over every class.
+	probs, err := m.ProbabilitiesInto(nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0
+	for c, p := range probs {
+		if p > probs[best] {
+			best = c
+		}
+	}
+	if full != best {
+		t.Errorf("empty restriction returned class %d, want the argmax %d", full, best)
 	}
 	// Out-of-range allowed classes are ignored.
-	c3, _, err := m.PredictRestricted(x, []int{7, 2})
+	c3, _, _, err := m.PredictRestrictedBuf(nil, x, []int{7, 2})
 	if err != nil || c3 != 2 {
 		t.Errorf("out-of-range allowed entries should be ignored, got %d (%v)", c3, err)
 	}
@@ -102,7 +118,7 @@ func TestPredictRestricted(t *testing.T) {
 
 func TestUntrainedAndShapeErrors(t *testing.T) {
 	var m Model
-	if _, _, err := m.Predict([]float64{1}); err != ErrNotTrained {
+	if _, _, _, err := m.PredictRestrictedBuf(nil, []float64{1}, nil); err != ErrNotTrained {
 		t.Errorf("expected ErrNotTrained, got %v", err)
 	}
 	tr := NewModel(2, 2)
@@ -118,11 +134,8 @@ func TestUntrainedAndShapeErrors(t *testing.T) {
 	if err := tr.Fit([]Sample{{Features: []float64{1, 2}, Label: 1}}, TrainConfig{Epochs: 1}); err != nil {
 		t.Errorf("valid fit failed: %v", err)
 	}
-	if _, err := tr.Probabilities([]float64{1}); err == nil {
+	if _, err := tr.ProbabilitiesInto(nil, []float64{1}); err == nil {
 		t.Error("expected error for wrong probe size")
-	}
-	if _, err := tr.Accuracy(nil); err == nil {
-		t.Error("expected error for empty accuracy set")
 	}
 }
 
@@ -159,8 +172,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.3, 0.7, 0.2}
-	c1, p1, _ := m.Predict(x)
-	c2, p2, _ := back.Predict(x)
+	c1, p1, _, _ := m.PredictRestrictedBuf(nil, x, nil)
+	c2, p2, _, _ := back.PredictRestrictedBuf(nil, x, nil)
 	if c1 != c2 || math.Abs(p1-p2) > 1e-12 {
 		t.Error("loaded model must predict identically")
 	}
@@ -184,7 +197,7 @@ func TestProbabilityDistributionProperty(t *testing.T) {
 	}
 	f := func(a, b, c int16) bool {
 		x := []float64{float64(a) / 1000, float64(b) / 1000, float64(c) / 1000}
-		probs, err := m.Probabilities(x)
+		probs, err := m.ProbabilitiesInto(nil, x)
 		if err != nil {
 			return false
 		}

@@ -165,20 +165,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// BucketCounts returns the non-cumulative per-bucket counts (the last entry
-// is the +Inf bucket). For tests and introspection; exposition renders the
-// cumulative form.
-func (h *Histogram) BucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
 // metricKind is the exposition TYPE of a series.
 type metricKind int
 

@@ -43,7 +43,7 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
-	if rec.Timeline() != nil || rec.Len() != 0 || rec.TraceID() != "" {
+	if rec.Timeline() != nil || rec.TraceID() != "" {
 		t.Fatal("nil recorder must read empty")
 	}
 }
@@ -66,18 +66,18 @@ func TestHistogramBucketsSumToCount(t *testing.T) {
 		t.Fatalf("sum = %v, want %v", h.Sum(), sum)
 	}
 	var bucketTotal int64
-	for _, c := range h.BucketCounts() {
-		bucketTotal += c
+	for i := range h.counts {
+		bucketTotal += h.counts[i].Load()
 	}
 	if bucketTotal != h.Count() {
 		t.Fatalf("bucket counts sum to %d, want _count %d", bucketTotal, h.Count())
 	}
 	// 0.0005 and 0.001 land in le=0.001 (upper bound inclusive).
-	if got := h.BucketCounts()[0]; got != 2 {
+	if got := h.counts[0].Load(); got != 2 {
 		t.Fatalf("first bucket = %d, want 2", got)
 	}
 	// 2 and 100 land in +Inf.
-	if got := h.BucketCounts()[4]; got != 2 {
+	if got := h.counts[4].Load(); got != 2 {
 		t.Fatalf("+Inf bucket = %d, want 2", got)
 	}
 }

@@ -117,16 +117,6 @@ func (r *Recorder) Timeline() []Span {
 	return out
 }
 
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // traceKey is the context key for the active campaign Recorder.
 type traceKey struct{}
 

@@ -106,7 +106,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Len() != 8*200 {
-		t.Fatalf("len = %d, want %d", r.Len(), 8*200)
+	if n := len(r.Timeline()); n != 8*200 {
+		t.Fatalf("len = %d, want %d", n, 8*200)
 	}
 }

@@ -57,21 +57,6 @@ func (w *Window) Observe(typ webevent.Type, viewportY float64, trigger simtime.T
 	w.n++
 }
 
-// Len returns the number of events currently in the window.
-func (w *Window) Len() int { return w.n }
-
-// Reset clears the window (used when an interaction session ends).
-func (w *Window) Reset() { w.n = 0 }
-
-// Last returns the most recent entry and true, or false when empty.
-func (w *Window) Last() (typ webevent.Type, viewportY float64, ok bool) {
-	if w.n == 0 {
-		return 0, 0, false
-	}
-	e := w.entries[w.n-1]
-	return e.typ, e.viewportY, true
-}
-
 // navigations counts Load events in the window.
 func (w *Window) navigations() int {
 	n := 0

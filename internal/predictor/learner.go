@@ -105,13 +105,6 @@ func (l *SequenceLearner) predictWith(s *predictScratch, features []float64, all
 	return webevent.Type(class), conf, nil
 }
 
-// Predict returns the most likely next event type and its confidence, with
-// the candidate set optionally restricted to the allowed types (the LNES).
-func (l *SequenceLearner) Predict(features []float64, allowed []webevent.Type) (webevent.Type, float64, error) {
-	var s predictScratch
-	return l.predictWith(&s, features, allowed)
-}
-
 // Predicted is one entry of a predicted event sequence.
 type Predicted struct {
 	// Type is the predicted DOM-level event type.

@@ -54,9 +54,6 @@ type Predictor struct {
 
 	gapStats map[webevent.Interaction]*stats.Running
 
-	// evaluations counts learner evaluations, for the overhead analysis.
-	evaluations int
-
 	// Reusable buffers of the per-event prediction fast path. A prediction
 	// step must not allocate (the paper budgets ~2 µs per evaluation and a
 	// campaign server replays millions of events), so the feature vector, the
@@ -86,14 +83,6 @@ func New(learner *SequenceLearner, spec *webapp.Spec, domSeed int64, cfg Config)
 		gapStats: make(map[webevent.Interaction]*stats.Running),
 	}
 }
-
-// Session exposes the predictor's DOM session (shared with the feature
-// extraction of the scheduler's cost model).
-func (p *Predictor) Session() *webapp.Session { return p.sess }
-
-// Evaluations returns the number of logistic-model evaluations performed so
-// far (used by the overhead analysis of Sec. 6.3).
-func (p *Predictor) Evaluations() int { return p.evaluations }
 
 // Observe informs the predictor that an actual event occurred. It updates
 // the feature window, the inter-arrival statistics, and the DOM replica.
@@ -186,7 +175,6 @@ func (p *Predictor) predictStep(win *Window, menuOpened dom.NodeID, pendingNav b
 // buffers.
 func (p *Predictor) learnerStep(win *Window, viewportY float64, allowed []webevent.Type) (Predicted, bool) {
 	FeaturesInto(&p.featBuf, p.sess.Tree(), win, viewportY)
-	p.evaluations++
 	typ, conf, err := p.learner.predictWith(&p.scratch, p.featBuf[:], allowed)
 	if err != nil {
 		return Predicted{}, false

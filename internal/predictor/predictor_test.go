@@ -41,15 +41,11 @@ func TestWindowFeatures(t *testing.T) {
 	}
 	// Window keeps only the last five entries.
 	w.Observe(webevent.Scroll, 0.4, 5)
-	if w.Len() != WindowSize {
-		t.Errorf("window length = %d, want %d", w.Len(), WindowSize)
+	if w.n != WindowSize {
+		t.Errorf("window length = %d, want %d", w.n, WindowSize)
 	}
-	if typ, _, ok := w.Last(); !ok || typ != webevent.Scroll {
-		t.Error("Last should report the newest entry")
-	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Error("Reset should empty the window")
+	if w.entries[w.n-1].typ != webevent.Scroll {
+		t.Error("the newest entry should be last")
 	}
 	// All feature values must be within [0, 1].
 	for i, f := range feats {
@@ -110,8 +106,8 @@ func TestPredictorHintNavigation(t *testing.T) {
 	// Find a visible navigation link in the predictor's own session replica
 	// and deliver a click on it.
 	var link dom.NodeID
-	for _, id := range p.Session().Tree().VisibleTappable() {
-		n := p.Session().Tree().Node(id)
+	for _, id := range p.sess.Tree().VisibleTappable() {
+		n := p.sess.Tree().Node(id)
 		if n.NavigatesTo != "" && n.TogglesMenu == dom.None {
 			link = id
 			break
@@ -256,17 +252,5 @@ func TestExpectedGapLearnsFromSession(t *testing.T) {
 	// Unobserved interactions fall back to priors.
 	if p.expectedGap(webevent.Load) <= 0 {
 		t.Error("load gap prior should be positive")
-	}
-}
-
-func TestEvaluationsCounter(t *testing.T) {
-	learner := trainSmall(t)
-	spec, _ := webapp.ByName("espn")
-	p := New(learner, spec, 2, DefaultConfig())
-	p.Observe(&webevent.Event{Type: webevent.Load, Trigger: 0})
-	before := p.Evaluations()
-	p.PredictSequence()
-	if p.Evaluations() < before {
-		t.Error("evaluation counter must not decrease")
 	}
 }

@@ -16,16 +16,6 @@ import (
 // VSyncPeriod is the display refresh interval (60 Hz).
 const VSyncPeriod = 16667 * simtime.Microsecond
 
-// NextVSync returns the first VSync edge at or after t (frames are submitted
-// on refresh boundaries).
-func NextVSync(t simtime.Time) simtime.Time {
-	period := simtime.Time(VSyncPeriod)
-	if t%period == 0 {
-		return t
-	}
-	return (t/period + 1) * period
-}
-
 // Stage identifies one stage of the rendering pipeline.
 type Stage int
 

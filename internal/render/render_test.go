@@ -2,39 +2,11 @@ package render
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/acmp"
 	"repro/internal/simtime"
 	"repro/internal/webevent"
 )
-
-func TestNextVSync(t *testing.T) {
-	if got := NextVSync(0); got != 0 {
-		t.Errorf("NextVSync(0) = %v", got)
-	}
-	if got := NextVSync(1); got != simtime.Time(VSyncPeriod) {
-		t.Errorf("NextVSync(1) = %v, want %v", got, VSyncPeriod)
-	}
-	edge := simtime.Time(VSyncPeriod) * 3
-	if got := NextVSync(edge); got != edge {
-		t.Errorf("NextVSync(edge) = %v, want %v", got, edge)
-	}
-	if got := NextVSync(edge + 1); got != edge+simtime.Time(VSyncPeriod) {
-		t.Errorf("NextVSync(edge+1) = %v", got)
-	}
-}
-
-func TestNextVSyncProperty(t *testing.T) {
-	f := func(raw uint32) bool {
-		tm := simtime.Time(raw)
-		v := NextVSync(tm)
-		return v >= tm && v.Sub(tm) < VSyncPeriod && v%simtime.Time(VSyncPeriod) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestSplitStagesSumsToTotal(t *testing.T) {
 	for _, in := range []webevent.Interaction{webevent.LoadInteraction, webevent.TapInteraction, webevent.MoveInteraction} {

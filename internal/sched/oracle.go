@@ -135,9 +135,6 @@ func NewOracleWithVersion(p *acmp.Platform, events []*webevent.Event, v OracleVe
 // Name implements ProactivePolicy.
 func (o *Oracle) Name() string { return "Oracle" }
 
-// Version returns the solver version the oracle runs.
-func (o *Oracle) Version() OracleVersion { return o.version }
-
 // Observe implements ProactivePolicy.
 func (o *Oracle) Observe(e *webevent.Event) {
 	if e.Seq+1 > o.nextIdx {

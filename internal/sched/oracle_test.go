@@ -58,11 +58,11 @@ func TestParseOracleVersion(t *testing.T) {
 
 func TestNewOracleDefaultsToV2(t *testing.T) {
 	o := NewOracle(acmp.Exynos5410(), oracleTrace(3))
-	if o.Version() != DefaultOracleVersion || o.Version() != OracleV2 {
-		t.Fatalf("default oracle version = %v", o.Version())
+	if o.version != OracleV2 || DefaultOracleVersion != OracleV2 {
+		t.Fatalf("default oracle version = %v", o.version)
 	}
-	if z := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(3), 0); z.Version() != DefaultOracleVersion {
-		t.Fatalf("zero version should resolve to default, got %v", z.Version())
+	if z := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(3), 0); z.version != DefaultOracleVersion {
+		t.Fatalf("zero version should resolve to default, got %v", z.version)
 	}
 }
 

@@ -298,10 +298,6 @@ func (e *EBS) Observe(ev *webevent.Event, cfg acmp.Config, start simtime.Time, e
 	e.cost.Observe(ev.Signature(), cfg, execLatency)
 }
 
-// Cost exposes EBS's cost model (used by tests and by PES when it falls back
-// to reactive behaviour with a shared model).
-func (e *EBS) Cost() *optimizer.CostModel { return e.cost }
-
 // Interface conformance checks.
 var (
 	_ ReactivePolicy = (*Interactive)(nil)

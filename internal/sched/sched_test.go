@@ -93,7 +93,7 @@ func TestEBSPicksMinEnergyMeetingDeadline(t *testing.T) {
 		t.Fatal("EBS returned no configuration")
 	}
 	// The chosen configuration must meet the deadline per the cost model.
-	if lat := e.Cost().PredictLatency(ev.Signature(), cfg); lat > ev.QoSTarget() {
+	if lat := e.cost.PredictLatency(ev.Signature(), cfg); lat > ev.QoSTarget() {
 		t.Errorf("EBS config %v predicted latency %v exceeds the QoS target", cfg, lat)
 	}
 	// With no budget it escalates to max performance.

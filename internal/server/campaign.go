@@ -88,9 +88,12 @@ type Plan struct {
 	Platform string
 	Meta     []SessionMeta
 	Specs    []cluster.SessionSpec
-	// Sessions holds the runnable sessions built from Specs, for running a
-	// plan directly on a batch runner. Only Expand fills it; the server
-	// never does.
+	// Sessions holds the runnable sessions built from Specs, index-aligned,
+	// for running a plan directly on a batch runner. Only Expand fills it:
+	// the public pes.NewCampaign hands it to library callers, and
+	// perfbench's reference check re-runs it on a fresh runner. The server
+	// never fills it; its coordinator builds each session from Specs on
+	// the worker that runs it.
 	Sessions []batch.Session
 }
 

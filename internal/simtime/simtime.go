@@ -8,10 +8,7 @@
 // are bit-reproducible across platforms.
 package simtime
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an instant on the simulated clock, measured in microseconds since
 // the beginning of the simulation run. The zero value is the start of the
@@ -47,12 +44,6 @@ func (t Time) After(u Time) bool { return t > u }
 // Micros returns the instant as a raw microsecond count.
 func (t Time) Micros() int64 { return int64(t) }
 
-// Millis returns the instant expressed in (possibly fractional) milliseconds.
-func (t Time) Millis() float64 { return float64(t) / 1e3 }
-
-// Seconds returns the instant expressed in (possibly fractional) seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e6 }
-
 // String renders the instant as a duration since the start of the run.
 func (t Time) String() string { return Duration(t).String() }
 
@@ -64,10 +55,6 @@ func (d Duration) Millis() float64 { return float64(d) / 1e3 }
 
 // Seconds returns the duration in (possibly fractional) seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e6 }
-
-// Std converts the simulated duration into a time.Duration for interfacing
-// with the standard library (primarily in tests and benchmark reporting).
-func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
 
 // String renders the duration using the most natural unit.
 func (d Duration) String() string {
@@ -87,37 +74,9 @@ func (d Duration) String() string {
 // nearest microsecond.
 func FromMillis(ms float64) Duration { return Duration(ms*1e3 + 0.5) }
 
-// FromSeconds converts a second count into a Duration, rounding to the
-// nearest microsecond.
-func FromSeconds(s float64) Duration { return Duration(s*1e6 + 0.5) }
-
 // Max returns the later of two instants.
 func Max(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of two instants.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDuration returns the longer of two durations.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinDuration returns the shorter of two durations.
-func MinDuration(a, b Duration) Duration {
-	if a < b {
 		return a
 	}
 	return b

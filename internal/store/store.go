@@ -104,7 +104,7 @@ func WithFileWrapper(wrap func(File) File) Option {
 // nothing because the writes sit in the OS page cache, but a power loss or
 // kernel panic can lose the un-synced tail — torn-tail recovery then resumes
 // from the last synced record. Syncing costs one disk flush per n results;
-// pes-bench -store -store-sync reports the overhead.
+// Stats().Syncs counts them.
 func WithSyncEvery(n int) Option {
 	return func(s *Store) {
 		if n > 0 {
@@ -309,9 +309,6 @@ func (s *Store) dropTail(off, size int64, reason string) error {
 	s.size = off
 	return nil
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of distinct keys currently readable.
 func (s *Store) Len() int {

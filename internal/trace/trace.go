@@ -431,31 +431,6 @@ func GenerateCorpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, purpo
 	return out
 }
 
-// ByApp returns the traces of the corpus that belong to the application.
-func (c Corpus) ByApp(app string) Corpus {
-	var out Corpus
-	for _, t := range c {
-		if t.App == app {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Apps returns the distinct application names present in the corpus, in
-// first-appearance order.
-func (c Corpus) Apps() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, t := range c {
-		if !seen[t.App] {
-			seen[t.App] = true
-			out = append(out, t.App)
-		}
-	}
-	return out
-}
-
 // TotalEvents returns the number of events across the corpus.
 func (c Corpus) TotalEvents() int {
 	n := 0

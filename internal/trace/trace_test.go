@@ -142,11 +142,15 @@ func TestGenerateCorpusAndFilters(t *testing.T) {
 	if len(c) != 6 {
 		t.Fatalf("corpus has %d traces, want 6", len(c))
 	}
-	if got := len(c.Apps()); got != 3 {
+	perApp := make(map[string][]*Trace)
+	for _, tr := range c {
+		perApp[tr.App] = append(perApp[tr.App], tr)
+	}
+	if got := len(perApp); got != 3 {
 		t.Errorf("corpus spans %d apps, want 3", got)
 	}
-	if got := len(c.ByApp(apps[0].Name)); got != 2 {
-		t.Errorf("ByApp returned %d traces, want 2", got)
+	if got := len(perApp[apps[0].Name]); got != 2 {
+		t.Errorf("app %s has %d traces, want 2", apps[0].Name, got)
 	}
 	if c.TotalEvents() <= 0 {
 		t.Error("corpus should contain events")
@@ -157,7 +161,7 @@ func TestGenerateCorpusAndFilters(t *testing.T) {
 		}
 	}
 	// Traces for the same app with different user indices must differ.
-	same := c.ByApp(apps[0].Name)
+	same := perApp[apps[0].Name]
 	if same[0].Seed == same[1].Seed {
 		t.Error("different users should have different seeds")
 	}

@@ -99,16 +99,9 @@ func (s *Session) loadPage(page string) {
 // Tree returns the current page's DOM tree.
 func (s *Session) Tree() *dom.Tree { return s.tree }
 
-// Semantic returns the semantic (accessibility) view of the current page.
-func (s *Session) Semantic() *dom.SemanticTree { return s.semantic }
-
 // PendingNavigation returns the page a navigation tap has committed to, or
 // "" when no navigation is outstanding.
 func (s *Session) PendingNavigation() string { return s.pendingPage }
-
-// PageVisits returns how many pages (including the initial home page) have
-// been loaded in this session.
-func (s *Session) PageVisits() int { return s.pageVisits }
 
 // CurrentPage returns the name of the page the session is on.
 func (s *Session) CurrentPage() string { return s.tree.Page }

@@ -14,14 +14,14 @@ func TestSessionInitialState(t *testing.T) {
 	if sess.CurrentPage() != "home" {
 		t.Errorf("initial page = %q", sess.CurrentPage())
 	}
-	if sess.Tree() == nil || sess.Semantic() == nil {
+	if sess.Tree() == nil || sess.semantic == nil {
 		t.Fatal("session must expose a DOM and semantic tree")
 	}
 	if sess.PendingNavigation() != "" {
 		t.Error("no navigation should be pending initially")
 	}
-	if sess.PageVisits() != 1 {
-		t.Errorf("PageVisits = %d, want 1", sess.PageVisits())
+	if sess.pageVisits != 1 {
+		t.Errorf("PageVisits = %d, want 1", sess.pageVisits)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestSessionNavigationFlow(t *testing.T) {
 	if sess.PendingNavigation() != "" {
 		t.Error("pending navigation should be cleared after the load")
 	}
-	if sess.PageVisits() != 2 {
-		t.Errorf("PageVisits = %d, want 2", sess.PageVisits())
+	if sess.pageVisits != 2 {
+		t.Errorf("PageVisits = %d, want 2", sess.pageVisits)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 		t.Error("sessions share a mutable tree")
 	}
 	// And the shared semantic view still binds to each session's own tree.
-	if a.Semantic().Len() != b.Semantic().Len() {
+	if a.semantic.Len() != b.semantic.Len() {
 		t.Error("semantic views disagree")
 	}
 

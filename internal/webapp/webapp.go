@@ -17,7 +17,6 @@ package webapp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/acmp"
 	"repro/internal/dom"
@@ -294,15 +293,6 @@ func ByName(name string) (*Spec, error) {
 	return nil, fmt.Errorf("webapp: unknown application %q", name)
 }
 
-// Names returns all application names, seen first.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, s := range registry {
-		out[i] = s.Name
-	}
-	return out
-}
-
 func filter(seen bool) []*Spec {
 	var out []*Spec
 	for _, s := range registry {
@@ -421,12 +411,4 @@ func buildRegistry() []*Spec {
 		names[s.Name] = true
 	}
 	return specs
-}
-
-// SortedNames returns all application names in lexical order (useful for
-// deterministic iteration in tests).
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

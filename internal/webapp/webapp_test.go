@@ -31,8 +31,8 @@ func TestRegistryShape(t *testing.T) {
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("expected error for unknown application")
 	}
-	if len(Names()) != 18 || len(SortedNames()) != 18 {
-		t.Error("Names/SortedNames wrong")
+	if len(Registry()) != 18 {
+		t.Error("Registry wrong")
 	}
 }
 
